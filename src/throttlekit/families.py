@@ -244,6 +244,7 @@ def corona_tower(h: Graph) -> Fixture:
                    meta={"name": "corona_tower"})
 
 
+@lru_cache(maxsize=None)
 def _load_static_fixture(name: str) -> Fixture:
     text = (resources.files("throttlekit") / "data" / f"{name}.txt").read_text()
     graphs = list(read_edge_list(text))
@@ -266,11 +267,6 @@ def _load_static_fixture(name: str) -> Fixture:
     return Fixture(graphs[0], vertices=vertices, edges=edges, meta=meta)
 
 
-@lru_cache(maxsize=None)
-def _static_fixture_cached(name: str) -> Fixture:
-    return _load_static_fixture(name)
-
-
 def fixture(name: str) -> Fixture:
     """Load a named static fixture from its committed edge-list file."""
     if name not in STATIC_FIXTURES:
@@ -278,7 +274,7 @@ def fixture(name: str) -> Fixture:
             f"unknown fixture {name!r}; static fixtures are "
             f"{', '.join(STATIC_FIXTURES)}"
         )
-    return _static_fixture_cached(name)
+    return _load_static_fixture(name)
 
 
 # ---------------------------------------------------------------------------

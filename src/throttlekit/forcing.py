@@ -10,6 +10,14 @@ steps until nothing new is colored.  They differ only in the step rule:
   start set, every later step uses the standard rule.
 
 Times are exact small integers; a stalled process has time INFINITY.
+
+Every optimizer over start sets (forcing numbers, fastest times at a
+size, throttling numbers, one-step forcing) runs through one sized scan,
+``_sized_scan``.  At a fixed size k the cost of a set is a line in its
+propagation time, ``slope * pt + offset``, so the scan can cap each
+propagation by the incumbent cost and stop once it reaches the least
+cost possible at that size.  Witnesses are deterministic: the scan keeps
+the first set in colexicographic order that reaches its best cost.
 """
 
 from __future__ import annotations
@@ -204,16 +212,41 @@ def is_forcing_set(rule: Rule, g: Graph, initial: VertexSet) -> bool:
     return propagation_time(rule, g, initial) != INFINITY
 
 
+def _sized_scan(rule: Rule, adj: tuple[int, ...], n: int, k: int,
+                slope: int, offset: int,
+                incumbent: Optional[int] = None) -> Optional[tuple[int, int, int]]:
+    """Least cost ``slope * pt + offset`` over the size-k start sets that
+    strictly beat ``incumbent``, as (cost, pt, colex-first mask), or None
+    when no such set completes."""
+    # Only the full set finishes in no steps.
+    floor = offset + (slope if k < n else 0)
+    if incumbent is not None and floor >= incumbent:
+        return None
+    # The cap admits only times whose cost strictly beats the incumbent.
+    cap = None if incumbent is None or not slope else \
+        (incumbent - offset - 1) // slope
+    best = None
+    for mask in _size_masks(n, k):
+        t = _pt(rule, adj, n, mask, cap)
+        if t is None or t == INFINITY:
+            continue
+        best = (slope * t + offset, t, mask)
+        if best[0] == floor:
+            break
+        cap = t - 1  # slope > 0 here, or the cost would be the floor
+    return best
+
+
 def forcing_number(rule: Rule, g: Graph) -> tuple[int, VertexSet]:
     """Least size of a set that colors everything, with the first witness
     in size order then colexicographic order."""
     if g.n == 0:
         return 0, g.vertex_set(())
-    adj = g.adjacency
     for k in range(1, g.n + 1):
-        for mask in _size_masks(g.n, k):
-            if _pt(rule, adj, g.n, mask) != INFINITY:
-                return k, VertexSet.from_mask(g.n, mask)
+        # A flat cost line makes any completing set reach the floor.
+        hit = _sized_scan(rule, g.adjacency, g.n, k, 0, 0)
+        if hit is not None:
+            return k, VertexSet.from_mask(g.n, hit[2])
     raise AssertionError("the full vertex set always forces")
 
 
@@ -226,22 +259,10 @@ def k_propagation_time(rule: Rule, g: Graph,
     """
     if not 0 <= k <= g.n:
         raise ValueError(f"size must be between 0 and {g.n}, got {k}")
-    adj = g.adjacency
-    floor_time = 0 if k == g.n else 1
-    best: Time = INFINITY
-    witness: Optional[int] = None
-    for mask in _size_masks(g.n, k):
-        cap = None if best == INFINITY else int(best) - 1
-        t = _pt(rule, adj, g.n, mask, cap)
-        if t is None or t == INFINITY:
-            continue
-        if t < best:
-            best, witness = t, mask
-            if best == floor_time:
-                break
-    if witness is None:
+    hit = _sized_scan(rule, g.adjacency, g.n, k, 1, 0)
+    if hit is None:
         return INFINITY, None
-    return best, VertexSet.from_mask(g.n, witness)
+    return hit[1], VertexSet.from_mask(g.n, hit[2])
 
 
 def graph_propagation_time(rule: Rule, g: Graph) -> tuple[Time, Optional[VertexSet]]:

@@ -84,10 +84,13 @@ def _pool_map(func, items: list, workers: int) -> list:
 def run_suite(name: str, nmax: Optional[int] = None,
               budget: Optional[int] = None, seed: int = 0,
               workers: Optional[int] = None) -> Report:
-    """Expand one property suite and execute every case."""
+    """Expand one property suite and execute every case.
+
+    The wall time covers building the cases (enumeration included) as
+    well as running them."""
+    start = time.perf_counter()
     cases = build_cases(name, nmax=nmax, budget=budget, seed=seed)
     count = resolve_workers(workers)
-    start = time.perf_counter()
     records = _pool_map(run_case, cases, count)
     elapsed = time.perf_counter() - start
     records.sort(key=lambda r: r["id"])

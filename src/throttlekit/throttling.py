@@ -6,6 +6,12 @@ Three cost functions over a start set B with propagation time pt:
 * prodx:     |B| * (1 + pt)   (product with initial cost)
 * prodstar:  |B| * pt         (product without initial cost)
 
+At a fixed size k each cost is a line in pt, ``slope * pt + offset``,
+with (slope, offset) = (1, k), (k, k) and (k, 0) respectively.  The
+optimizers hand that line to the sized scan in ``forcing``, which caps
+every propagation by the incumbent cost and stops at the least cost
+possible at that size.
+
 The sum and prodx optima range over every start size up to the order;
 the prodstar optimum excludes the full vertex set (its cost would be a
 degenerate 0) and is undefined on edgeless graphs.  Witnesses are
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .forcing import (
     INFINITY,
@@ -24,7 +30,7 @@ from .forcing import (
     Time,
     _pt,
     _size_masks,
-    _standard_step,
+    _sized_scan,
     k_propagation_time,
 )
 from .graph import Graph, VertexSet, bits
@@ -42,31 +48,17 @@ def throttling_value(kind: ThrottleKind, size: int, pt: Time) -> Time:
     """Combine a start-set size and a propagation time into a cost."""
     if pt == INFINITY:
         return INFINITY
+    slope, offset = _cost_line(kind, size)
+    return slope * pt + offset
+
+
+def _cost_line(kind: ThrottleKind, size: int) -> tuple[int, int]:
+    # (slope, offset) of the cost as a function of pt at this size.
     if kind is ThrottleKind.SUM:
-        return size + pt
+        return 1, size
     if kind is ThrottleKind.PRODUCT_INITIAL_COST:
-        return size * (1 + pt)
-    return size * pt
-
-
-def _value_floor(kind: ThrottleKind, k: int) -> int:
-    # Least conceivable cost at size k when the set is proper (pt >= 1).
-    if kind is ThrottleKind.SUM:
-        return k + 1
-    if kind is ThrottleKind.PRODUCT_INITIAL_COST:
-        return 2 * k
-    return k
-
-
-def _pt_cap(kind: ThrottleKind, k: int, incumbent: Optional[int]) -> Optional[int]:
-    # Largest pt that still beats the incumbent cost at size k.
-    if incumbent is None:
-        return None
-    if kind is ThrottleKind.SUM:
-        return incumbent - k - 1
-    if kind is ThrottleKind.PRODUCT_INITIAL_COST:
-        return (incumbent - 1) // k - 1
-    return (incumbent - 1) // k
+        return size, size
+    return size, 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,23 +119,10 @@ def throttling_at_size(rule: Rule, kind: ThrottleKind, g: Graph,
             raise ValueError(f"size must be between 1 and {n - 1}, got {k}")
     elif not 0 <= k <= n:
         raise ValueError(f"size must be between 0 and {n}, got {k}")
-    adj = g.adjacency
-    best: Optional[int] = None
-    witness: Optional[int] = None
-    floor = throttling_value(kind, k, 0) if k == n else _value_floor(kind, k)
-    for mask in _size_masks(n, k):
-        t = _pt(rule, adj, n, mask, _pt_cap(kind, k, best))
-        if t is None or t == INFINITY:
-            continue
-        val = throttling_value(kind, k, t)
-        assert isinstance(val, int)
-        if best is None or val < best:
-            best, witness = val, mask
-            if best == floor:
-                break
-    if best is None:
+    hit = _sized_scan(rule, g.adjacency, n, k, *_cost_line(kind, k))
+    if hit is None:
         return INFINITY, None
-    return best, VertexSet.from_mask(n, witness)
+    return hit[0], VertexSet.from_mask(n, hit[2])
 
 
 def throttling_number(rule: Rule, kind: ThrottleKind, g: Graph,
@@ -164,58 +143,37 @@ def throttling_number(rule: Rule, kind: ThrottleKind, g: Graph,
             propagation_time=0, witness=VertexSet(0),
             table={} if with_table else None,
         )
-    adj = g.adjacency
-    best: Optional[int] = None
-    best_k = best_pt = 0
-    best_mask: Optional[int] = None
+    # Without a table the incumbent carries across sizes, so a size
+    # returns a hit only when it strictly beats every smaller size.  A
+    # size that cannot beat it is skipped, never the end of the walk: the
+    # least cost rises with the size but falls to n at the full set.
+    best: Optional[tuple[int, int, int]] = None
+    best_k = 0
     table: Optional[dict[int, TableEntry]] = {} if with_table else None
+    top = n - 1 if kind is ThrottleKind.PRODUCT_NO_INITIAL_COST else n
+    for k in range(1, top + 1):
+        incumbent = None if with_table or best is None else best[0]
+        hit = _sized_scan(rule, g.adjacency, n, k, *_cost_line(kind, k),
+                          incumbent)
+        if table is not None:
+            table[k] = (INFINITY, None) if hit is None else \
+                (hit[0], VertexSet.from_mask(n, hit[2]))
+        if hit is not None and (best is None or hit[0] < best[0]):
+            best, best_k = hit, k
 
-    if with_table:
-        top = n - 1 if kind is ThrottleKind.PRODUCT_NO_INITIAL_COST else n
-        for k in range(1, top + 1):
-            assert table is not None
-            val, wit = throttling_at_size(rule, kind, g, k)
-            table[k] = (val, wit)
-            if val != INFINITY and (best is None or val < best):
-                assert wit is not None and isinstance(val, int)
-                best, best_k, best_mask = val, k, wit.mask
-                best_pt = _int_pt(rule, adj, n, wit.mask)
-    else:
-        for k in range(1, n):
-            if best is not None and _value_floor(kind, k) >= best:
-                break
-            for mask in _size_masks(n, k):
-                t = _pt(rule, adj, n, mask, _pt_cap(kind, k, best))
-                if t is None or t == INFINITY:
-                    continue
-                val = throttling_value(kind, k, t)
-                assert isinstance(val, int) and isinstance(t, int)
-                if best is None or val < best:
-                    best, best_k, best_pt, best_mask = val, k, t, mask
-        if kind is not ThrottleKind.PRODUCT_NO_INITIAL_COST and n >= 1:
-            # The full set costs exactly n under both remaining kinds and
-            # the sized scan above never considers it.
-            if best is None or n < best:
-                best, best_k, best_pt, best_mask = n, n, 0, g.full_mask
-
-    if best is None or best_mask is None:
+    if best is None:
         raise AssertionError("a finite throttling cost always exists here")
+    value, pt, mask = best
     return ThrottlingResult(
         rule=rule,
         kind=kind,
         graph=g,
-        value=best,
+        value=value,
         size=best_k,
-        propagation_time=best_pt,
-        witness=VertexSet.from_mask(n, best_mask),
+        propagation_time=pt,
+        witness=VertexSet.from_mask(n, mask),
         table=table,
     )
-
-
-def _int_pt(rule: Rule, adj: tuple[int, ...], n: int, mask: int) -> int:
-    t = _pt(rule, adj, n, mask)
-    assert isinstance(t, int)
-    return t
 
 
 def least_size_with_propagation_time(g: Graph, p: int) -> tuple[int, VertexSet]:
@@ -239,12 +197,11 @@ def one_step_forcing_number(g: Graph) -> tuple[int, VertexSet]:
     """
     if g.edge_count == 0:
         raise ValueError("one-step forcing needs at least one edge")
-    adj = g.adjacency
-    full = g.full_mask
     for k in range(1, g.n):
-        for mask in _size_masks(g.n, k):
-            if mask | _standard_step(adj, mask, full) == full:
-                return k, VertexSet.from_mask(g.n, mask)
+        # Incumbent cost 2 on the line pt admits only sets done in one step.
+        hit = _sized_scan(Rule.STANDARD, g.adjacency, g.n, k, 1, 0, 2)
+        if hit is not None:
+            return k, VertexSet.from_mask(g.n, hit[2])
     raise AssertionError("deleting one endpoint of an edge always works")
 
 

@@ -171,6 +171,11 @@ def test_forcing_number_matches_oracle(rule):
             assert k == oracles.naive_forcing_number(as_oracle_rule(rule), g)
             assert len(wit) == k
             assert is_forcing_set(rule, g, wit)
+            assert wit.mask == min(
+                sum(1 << v for v in combo)
+                for combo in combinations(range(n), k)
+                if oracles.naive_pt(as_oracle_rule(rule), g, combo) < inf
+            )
 
 
 def test_forcing_number_known_values():
@@ -194,6 +199,13 @@ def test_k_propagation_time_matches_oracle(rule):
                 assert t == (INFINITY if expected is inf else expected)
                 if t != INFINITY:
                     assert propagation_time(rule, g, wit) == t
+                    assert wit.mask == min(
+                        sum(1 << v for v in combo)
+                        for combo in combinations(range(n), k)
+                        if oracles.naive_pt(as_oracle_rule(rule), g, combo) == t
+                    )
+                else:
+                    assert wit is None
 
 
 def test_k_propagation_time_bounds_check():

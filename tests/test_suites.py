@@ -1,9 +1,11 @@
 """Property suite machinery: registry, determinism, and report shape."""
 
 import json
+import time
 
 import pytest
 
+from throttlekit import report as report_module
 from throttlekit.report import Report, resolve_workers, run_claims, run_suite
 from throttlekit.suites import SUITES, build_cases, run_case
 
@@ -95,6 +97,17 @@ def test_report_dict_shape():
     assert isinstance(d["wall_time_seconds"], float)
     assert d["tool_version"]
     json.dumps(d)  # must be serializable as-is
+
+
+def test_suite_wall_time_covers_building_cases(monkeypatch):
+    def slow_build(*args, **kwargs):
+        time.sleep(0.3)
+        return build_cases(*args, **kwargs)
+
+    monkeypatch.setattr(report_module, "build_cases", slow_build)
+    report = run_suite("universal-vertex", nmax=3, workers=1)
+    assert report.total > 0
+    assert report.wall_time_seconds >= 0.3
 
 
 def test_run_claims_filtered():
