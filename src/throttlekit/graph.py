@@ -130,12 +130,6 @@ class VertexSet:
         self._check(other)
         return self._mask & other._mask == 0
 
-    def with_vertices(self, *labels: int) -> VertexSet:
-        return self.union(VertexSet(self._order, labels))
-
-    def without_vertices(self, *labels: int) -> VertexSet:
-        return self.difference(VertexSet(self._order, labels))
-
     __or__ = union
     __and__ = intersection
     __sub__ = difference
@@ -217,11 +211,6 @@ class VertexMap:
         if not 0 <= v < self._source_order:
             raise InvalidVertexError(f"vertex {v} out of range")
         return self._images[v]
-
-    def preimages(self, w: int) -> tuple[int, ...]:
-        if not 0 <= w < self._target_order:
-            raise InvalidVertexError(f"vertex {w} out of range")
-        return tuple(v for v, img in enumerate(self._images) if img == w)
 
     def map_set(self, s: VertexSet) -> VertexSet:
         """Image of a source-side set; deleted members are dropped."""

@@ -1,8 +1,11 @@
 """Property suites: documented facts checked over enumerated graphs.
 
-Each suite expands one statement into per-graph cases.  A case is a
-picklable ``(case_id, runner_name, payload)`` triple so a worker pool
-can execute cases in any order; payloads carry graphs as graph6 text.
+Each suite expands one statement into per-graph cases.  ``SUITES``
+declares every suite once: its runner, the graphs it covers and the
+payload variants per graph.  A case is a picklable
+``(case_id, suite_name, payload)`` triple so a worker pool can execute
+cases in any order; ``run_case`` looks the runner up by suite name, and
+payloads carry graphs as graph6 text.
 Failing records always include a witness precise enough to replay the
 violation with the ``compute`` command.
 """
@@ -14,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .graph import Graph, VertexSet, bits, mask_components
+from .graph import Graph, VertexMap, VertexSet, bits, mask_components
 from .graphio import format_graph6, parse_graph6
 from .families import MAX_ENUMERATION_ORDER, enumerate_graphs
 from .forcing import (
@@ -200,183 +203,152 @@ def _run_sum_third_plus_two(case_id: str, payload: dict) -> dict:
                             f"exact={exact.value}")
 
 
+_DOING = {"de": "deleting ({u},{v})", "ce": "contracting ({u},{v})",
+          "se": "subdividing ({u},{v})", "dv": "deleting vertex {u}"}
+
+
+def _operations(g: Graph, kinds: tuple = ("de", "ce", "se", "dv")) -> list:
+    """Each local operation of the given kinds on g, built once.
+
+    Entries are ``(kind, u, v, H, vmap)``: per edge (u, v) in order its
+    deletion ("de", vmap None), contraction ("ce") and subdivision
+    ("se"), then each vertex deletion ("dv", u the vertex, v None) when
+    g has at least two vertices.
+    """
+    ops = []
+    for u, v in g.edges():
+        if "de" in kinds:
+            ops.append(("de", u, v, g.delete_edge(u, v), None))
+        if "ce" in kinds:
+            ops.append(("ce", u, v, *g.contract_edge(u, v)))
+        if "se" in kinds:
+            ops.append(("se", u, v, *g.subdivide_edge(u, v)))
+    if "dv" in kinds and g.n >= 2:
+        ops += [("dv", x, None, *g.delete_vertex(x)) for x in range(g.n)]
+    return ops
+
+
+def _pre(vmap: VertexMap, bmask: int) -> int:
+    return vmap.preimage_set(VertexSet.from_mask(vmap.target_order,
+                                                 bmask)).mask
+
+
+def _ends(bmask: int, u: int, v: int) -> tuple[int, int]:
+    return bmask | 1 << u, bmask | 1 << v
+
+
+# Lemma 3.1, item -> (operation, whether the start set B lives on the
+# operated graph H rather than on G, witness template, lift of B to
+# candidate sets on the other graph).  Each item says that some lift of
+# a completing B propagates no slower than B.
+_TRANSFER = {
+    # A completing set of G-e completes G after adding one endpoint.
+    1: ("de", True, "{site}, B'={B}: best on G {best} > {pt} on G-e",
+        lambda b, u, v, m: (b | 1 << u, b | 1 << v)),
+    # A completing set of G completes G-e after adding one endpoint.
+    2: ("de", False, "{site}, B={B}: best on G-e {best} > {pt} on G",
+        lambda b, u, v, m: (b | 1 << u, b | 1 << v)),
+    # A completing set of G-x completes G once x is put back.
+    3: ("dv", True, "{site}, B'={B}: {best} on G > {pt} on G-x",
+        lambda b, x, _, m: (_pre(m, b) | 1 << x,)),
+    # A completing set of G/e lifts back to G, splitting the merged
+    # vertex or adding one endpoint.
+    4: ("ce", True, "{site}, B'={B}: {best} on G > {pt} on G/e",
+        lambda b, u, v, m: ((_pre(m, b),) if b >> m.image(u) & 1
+                            else _ends(_pre(m, b), u, v))),
+    # Power domination only: a completing set of G pushes forward
+    # through a contraction at no time cost.
+    5: ("ce", False, "{site}, B={B}: {best} on G/e > {pt} on G",
+        lambda b, u, v, m: (m.map_set(VertexSet.from_mask(m.source_order, b))
+                            .mask | 1 << m.image(u),)),
+    # A completing set of the subdivision pulls back to G, trading the
+    # new vertex for one endpoint.
+    6: ("se", True, "{site}, B'={B}: {best} on G > {pt} on subdivision",
+        lambda b, u, v, m: (_ends(b & ~(1 << m.new_vertex), u, v)
+                            if b >> m.new_vertex & 1 else (b,))),
+    # A completing set of G completes the subdivision after adding the
+    # new vertex, which can perform the force its edge carried.
+    7: ("se", False, "{site}, B={B}: {best} on subdivision > {pt} on G",
+        lambda b, u, v, m: (b | 1 << m.new_vertex,)),
+}
+
+
 def _run_transfer(case_id: str, payload: dict) -> dict:
     g = parse_graph6(payload["graph6"])
     rule = Rule(payload["rule"])
     item = payload["item"]
-    n, adj = g.n, g.adjacency
-    violations = []
-
-    if item == 1:
-        # A completing set of G-e completes G after adding one endpoint.
-        for u, v in g.edges():
-            h = g.delete_edge(u, v)
-            for bmask in range(1 << n):
-                pth = _pt(rule, h.adjacency, n, bmask)
-                if pth == INFINITY:
-                    continue
-                best = min(_pt(rule, adj, n, bmask | (1 << u)),
-                           _pt(rule, adj, n, bmask | (1 << v)))
-                if best > pth:
-                    violations.append(f"e=({u},{v}), B'={_fmt(bmask)}: "
-                                      f"best on G {best} > {pth} on G-e")
-    elif item == 2:
-        # A completing set of G completes G-e after adding one endpoint.
-        for u, v in g.edges():
-            h = g.delete_edge(u, v)
-            for bmask in range(1 << n):
-                ptg = _pt(rule, adj, n, bmask)
-                if ptg == INFINITY:
-                    continue
-                best = min(_pt(rule, h.adjacency, n, bmask | (1 << u)),
-                           _pt(rule, h.adjacency, n, bmask | (1 << v)))
-                if best > ptg:
-                    violations.append(f"e=({u},{v}), B={_fmt(bmask)}: "
-                                      f"best on G-e {best} > {ptg} on G")
-    elif item == 3:
-        # A completing set of G-x completes G once x is put back.
-        for x in range(n):
-            h, vmap = g.delete_vertex(x)
-            hn = h.n
-            for bmask in range(1 << hn):
-                pth = _pt(rule, h.adjacency, hn, bmask)
-                if pth == INFINITY:
-                    continue
-                back = vmap.preimage_set(VertexSet.from_mask(hn, bmask)).mask
-                ptg = _pt(rule, adj, n, back | (1 << x))
-                if ptg > pth:
-                    violations.append(f"x={x}, B'={_fmt(bmask)}: "
-                                      f"{ptg} on G > {pth} on G-x")
-    elif item == 4:
-        # A completing set of G/e lifts back to G, splitting the merged
-        # vertex or adding one endpoint.
-        for u, v in g.edges():
-            h, vmap = g.contract_edge(u, v)
-            y = vmap.image(u)
-            hn = h.n
-            for bmask in range(1 << hn):
-                pth = _pt(rule, h.adjacency, hn, bmask)
-                if pth == INFINITY:
-                    continue
-                pre = vmap.preimage_set(VertexSet.from_mask(hn, bmask)).mask
-                if bmask >> y & 1:
-                    ptg = _pt(rule, adj, n, pre)
-                else:
-                    ptg = min(_pt(rule, adj, n, pre | (1 << u)),
-                              _pt(rule, adj, n, pre | (1 << v)))
-                if ptg > pth:
-                    violations.append(f"e=({u},{v}), B'={_fmt(bmask)}: "
-                                      f"{ptg} on G > {pth} on G/e")
-    elif item == 5:
-        # Power domination only: a completing set of G pushes forward
-        # through a contraction at no time cost.
-        for u, v in g.edges():
-            h, vmap = g.contract_edge(u, v)
-            y = vmap.image(u)
-            hn = h.n
-            for bmask in range(1 << n):
-                ptg = _pt(rule, adj, n, bmask)
-                if ptg == INFINITY:
-                    continue
-                img = vmap.map_set(VertexSet.from_mask(n, bmask)).mask
-                pth = _pt(rule, h.adjacency, hn, img | (1 << y))
-                if pth > ptg:
-                    violations.append(f"e=({u},{v}), B={_fmt(bmask)}: "
-                                      f"{pth} on G/e > {ptg} on G")
-    elif item == 6:
-        # A completing set of the subdivision pulls back to G, trading
-        # the new vertex for one endpoint.
-        for u, v in g.edges():
-            h, vmap = g.subdivide_edge(u, v)
-            z = vmap.new_vertex
-            hn = h.n
-            for bmask in range(1 << hn):
-                pth = _pt(rule, h.adjacency, hn, bmask)
-                if pth == INFINITY:
-                    continue
-                if bmask >> z & 1:
-                    base = bmask & ~(1 << z)
-                    ptg = min(_pt(rule, adj, n, base | (1 << u)),
-                              _pt(rule, adj, n, base | (1 << v)))
-                else:
-                    ptg = _pt(rule, adj, n, bmask)
-                if ptg > pth:
-                    violations.append(f"e=({u},{v}), B'={_fmt(bmask)}: "
-                                      f"{ptg} on G > {pth} on subdivision")
-    elif item == 7:
-        # A completing set of G completes the subdivision after adding
-        # the new vertex, which can perform the force its edge carried.
-        for u, v in g.edges():
-            h, vmap = g.subdivide_edge(u, v)
-            z = vmap.new_vertex
-            hn = h.n
-            for bmask in range(1 << n):
-                ptg = _pt(rule, adj, n, bmask)
-                if ptg == INFINITY:
-                    continue
-                pth = _pt(rule, h.adjacency, hn, bmask | (1 << z))
-                if pth > ptg:
-                    violations.append(f"e=({u},{v}), B={_fmt(bmask)}: "
-                                      f"{pth} on subdivision > {ptg} on G")
-    else:
+    if item not in _TRANSFER:
         raise ValueError(f"unknown transfer item {item}")
-
+    kind, on_h, witness, lift = _TRANSFER[item]
+    violations = []
+    for _, u, v, h, vmap in _operations(g, (kind,)):
+        src, dst = (h, g) if on_h else (g, h)
+        sadj, sn, dadj, dn = src.adjacency, src.n, dst.adjacency, dst.n
+        site = f"x={u}" if kind == "dv" else f"e=({u},{v})"
+        for bmask in range(1 << sn):
+            pt = _pt(rule, sadj, sn, bmask)
+            if pt == INFINITY:
+                continue
+            best = INFINITY
+            for m in lift(bmask, u, v, vmap):
+                t = _pt(rule, dadj, dn, m)
+                if t < best:
+                    best = t
+            if best > pt:
+                violations.append(witness.format(site=site, B=_fmt(bmask),
+                                                 best=best, pt=pt))
     return _record(case_id, payload["graph6"],
                    f"propagation-time transfer, operation item {item}, "
                    f"rule {rule.value}", violations)
 
 
+# Prop. 3.2 as (operation, rule, kind, label, lo, hi): the throttling a
+# of G and b of the operated graph satisfy lo*a <= 2*b <= hi*a, with no
+# upper bound where hi is None.  A None rule or kind matches every one;
+# one row matches each operation, rule and kind the suite checks.
+_PRODUCT_BOUNDS = (
+    ("de", None, None, "(1)", 1, 4),
+    ("dv", None, None, "(2)", 1, None),
+    ("ce", _PD, None, "(3)", 1, 4),
+    ("ce", _PSD, None, "(4)", 1, None),
+    ("se", None, _STAR, "(5)", 2, 4),
+    ("se", _PD, _X, "(6)", 2, 4),
+    ("se", _PSD, _X, "(6)", 2, 3),
+)
+
+
 def _run_product_stability(case_id: str, payload: dict) -> dict:
     g = parse_graph6(payload["graph6"])
     cache: dict = {}
+    ops = _operations(g)
     violations = []
-    edges = list(g.edges())
-    kinds = ((_STAR, "no-cost"), (_X, "initial-cost"))
-
     for rule in (_PD, _PSD):
-        rn = rule.value
-        for kind, kn in kinds:
+        for kind, kn in ((_STAR, "no-cost"), (_X, "initial-cost")):
             a = _th(cache, g, rule, kind)
             if a is None:
                 continue
-            for u, v in edges:
-                b = _th(cache, g.delete_edge(u, v), rule, kind)
-                if b is not None and not (a <= 2 * b and b <= 2 * a):
-                    violations.append(f"(1) {rn} {kn}: deleting ({u},{v}) "
-                                      f"gives {b}, original {a}")
-                c = _th(cache, g.contract_edge(u, v)[0], rule, kind)
-                if c is not None:
-                    if rule is _PD and not (a <= 2 * c and c <= 2 * a):
-                        violations.append(f"(3) {rn} {kn}: contracting "
-                                          f"({u},{v}) gives {c}, original {a}")
-                    if rule is _PSD and not a <= 2 * c:
-                        violations.append(f"(4) {rn} {kn}: contracting "
-                                          f"({u},{v}) gives {c}, original {a}")
-                s = _th(cache, g.subdivide_edge(u, v)[0], rule, kind)
-                if s is not None:
-                    if kind is _STAR and not a <= s <= 2 * a:
-                        violations.append(f"(5) {rn} {kn}: subdividing "
-                                          f"({u},{v}) gives {s}, original {a}")
-                    if kind is _X:
-                        if rule is _PD and not a <= s <= 2 * a:
-                            violations.append(f"(6) {rn} {kn}: subdividing "
-                                              f"({u},{v}) gives {s}, "
-                                              f"original {a}")
-                        if rule is _PSD and not (a <= s and 2 * s <= 3 * a):
-                            violations.append(f"(6) {rn} {kn}: subdividing "
-                                              f"({u},{v}) gives {s}, "
-                                              f"original {a}")
-            for x in range(g.n):
-                if g.n < 2:
-                    break
-                b = _th(cache, g.delete_vertex(x)[0], rule, kind)
-                if b is not None and not a <= 2 * b:
-                    violations.append(f"(2) {rn} {kn}: deleting vertex {x} "
-                                      f"gives {b}, original {a}")
+            for op, u, v, h, _ in ops:
+                label, lo, hi = next(
+                    row[3:] for row in _PRODUCT_BOUNDS if row[0] == op
+                    and row[1] in (None, rule) and row[2] in (None, kind))
+                b = _th(cache, h, rule, kind)
+                if b is None or (lo * a <= 2 * b
+                                 and (hi is None or 2 * b <= hi * a)):
+                    continue
+                violations.append(f"{label} {rule.value} {kn}: "
+                                  f"{_DOING[op].format(u=u, v=v)} gives "
+                                  f"{b}, original {a}")
     return _record(case_id, payload["graph6"],
                    "product throttling moves by bounded factors under edge "
                    "deletion, vertex deletion, contraction, and subdivision",
                    violations)
+
+
+# Prop. 3.12 as operation -> (label, lo, hi): the standard-rule no-cost
+# product throttling t of G and b of the operated graph satisfy
+# t+lo <= b <= t+hi.
+_ONE_STEP_BOUNDS = {"dv": ("(1)", -1, 0), "de": ("(2)", -1, 1),
+                    "ce": ("(3)", -1, 0), "se": ("(4)", 0, 1)}
 
 
 def _run_one_step_stability(case_id: str, payload: dict) -> dict:
@@ -384,25 +356,13 @@ def _run_one_step_stability(case_id: str, payload: dict) -> dict:
     cache: dict = {}
     t = _th(cache, g, _ZF, _STAR)
     violations = []
-    if g.n >= 2:
-        for x in range(g.n):
-            b = _th(cache, g.delete_vertex(x)[0], _ZF, _STAR)
-            if b is not None and not t - 1 <= b <= t:
-                violations.append(f"(1) deleting vertex {x} gives {b}, "
-                                  f"allowed [{t - 1},{t}]")
-    for u, v in g.edges():
-        b = _th(cache, g.delete_edge(u, v), _ZF, _STAR)
-        if b is not None and not t - 1 <= b <= t + 1:
-            violations.append(f"(2) deleting ({u},{v}) gives {b}, "
-                              f"allowed [{t - 1},{t + 1}]")
-        b = _th(cache, g.contract_edge(u, v)[0], _ZF, _STAR)
-        if b is not None and not t - 1 <= b <= t:
-            violations.append(f"(3) contracting ({u},{v}) gives {b}, "
-                              f"allowed [{t - 1},{t}]")
-        b = _th(cache, g.subdivide_edge(u, v)[0], _ZF, _STAR)
-        if not t <= b <= t + 1:
-            violations.append(f"(4) subdividing ({u},{v}) gives {b}, "
-                              f"allowed [{t},{t + 1}]")
+    # Vertex deletions are reported first (a stable sort keeps the rest).
+    for op, u, v, h, _ in sorted(_operations(g), key=lambda o: o[0] != "dv"):
+        label, lo, hi = _ONE_STEP_BOUNDS[op]
+        b = _th(cache, h, _ZF, _STAR)
+        if b is not None and not t + lo <= b <= t + hi:
+            violations.append(f"{label} {_DOING[op].format(u=u, v=v)} gives "
+                              f"{b}, allowed [{t + lo},{t + hi}]")
     return _record(case_id, payload["graph6"],
                    "standard-rule no-cost product throttling moves by at "
                    "most one under local operations", violations,
@@ -531,65 +491,6 @@ def _run_component_step(case_id: str, payload: dict) -> dict:
                    "unfilled component", violations)
 
 
-RUNNERS: dict[str, Callable[[str, dict], dict]] = {
-    "half_order_domination": _run_half_order_domination,
-    "edge_max_epn": _run_edge_max_epn,
-    "epn_removal": _run_epn_removal,
-    "product_six_sevenths": _run_product_six_sevenths,
-    "sum_third_plus_two": _run_sum_third_plus_two,
-    "transfer": _run_transfer,
-    "product_stability": _run_product_stability,
-    "one_step_stability": _run_one_step_stability,
-    "one_step_identity": _run_one_step_identity,
-    "half_order_characterization": _run_half_order_characterization,
-    "product_equals_order": _run_product_equals_order,
-    "bounds_chain": _run_bounds_chain,
-    "universal_vertex": _run_universal_vertex,
-    "pt_superset": _run_pt_superset,
-    "component_step": _run_component_step,
-}
-
-
-def run_case(case: Case) -> dict:
-    """Execute one case; unexpected errors become failing records."""
-    case_id, runner_name, payload = case
-    try:
-        return RUNNERS[runner_name](case_id, payload)
-    except Exception as exc:  # pragma: no cover - indicates a bug
-        return {
-            "id": case_id,
-            "graph6": payload.get("graph6", ""),
-            "check": runner_name,
-            "expected": "no violation",
-            "computed": f"error: {exc!r}",
-            "passed": False,
-            "witness": repr(exc),
-        }
-
-
-# --- case builders -----------------------------------------------------
-
-def _graph_cases(name: str, runner: str, nmax: int, *, nmin: int = 1,
-                 connected: bool = False, even_only: bool = False,
-                 keep: Optional[Callable[[Graph], bool]] = None,
-                 rules: Optional[tuple[str, ...]] = None) -> list[Case]:
-    cases: list[Case] = []
-    for n in range(nmin, nmax + 1):
-        if even_only and n % 2:
-            continue
-        for idx, g in enumerate(enumerate_graphs(n, connected_only=connected)):
-            if keep is not None and not keep(g):
-                continue
-            payload = {"graph6": format_graph6(g)}
-            if rules is None:
-                cases.append((f"{name}-n{n}-g{idx}", runner, payload))
-            else:
-                for r in rules:
-                    cases.append((f"{name}-n{n}-g{idx}-{r}", runner,
-                                  dict(payload, rule=r)))
-    return cases
-
-
 def _has_edge(g: Graph) -> bool:
     return g.edge_count > 0
 
@@ -598,144 +499,120 @@ def _no_isolated(g: Graph) -> bool:
     return not g.isolated_vertices()
 
 
-def _transfer_cases(nmax: int) -> list[Case]:
-    cases: list[Case] = []
-    for n in range(2, nmax + 1):
-        for idx, g in enumerate(enumerate_graphs(n, connected_only=True)):
-            payload = {"graph6": format_graph6(g)}
-            for item in range(1, 8):
-                rules = ("pd",) if item == 5 else ("zf", "psd", "pd")
-                for r in rules:
-                    cases.append((f"lemma3.1-n{n}-g{idx}-i{item}-{r}",
-                                  "transfer",
-                                  dict(payload, rule=r, item=item)))
-    return cases
+_RULE_VARIANTS = tuple((f"-{r}", {"rule": r}) for r in ("zf", "psd", "pd"))
+_TRANSFER_VARIANTS = tuple(
+    (f"-i{item}-{r}", {"rule": r, "item": item}) for item in _TRANSFER
+    for r in (("pd",) if item == 5 else ("zf", "psd", "pd")))
 
 
 @dataclass(frozen=True)
 class SuiteSpec:
+    """One suite: its runner and the graphs and payloads it runs on.
+
+    Cases cover the graphs of orders ``nmin..nmax`` (even orders only
+    when ``even_only``), connected ones only when ``connected``, that
+    pass ``keep``.  Each graph gives one case per variant, an id suffix
+    and the payload entries it adds to the graph6 text.
+    """
+
     name: str
     description: str
     default_nmax: int
-    build: Callable[[int], list[Case]]
+    runner: Callable[[str, dict], dict]
+    nmin: int = 1
+    connected: bool = False
+    keep: Optional[Callable[[Graph], bool]] = None
+    even_only: bool = False
+    variants: tuple[tuple[str, dict], ...] = (("", {}),)
+
+    def build(self, nmax: int) -> list[Case]:
+        cases: list[Case] = []
+        for n in range(self.nmin, nmax + 1):
+            if self.even_only and n % 2:
+                continue
+            graphs = enumerate_graphs(n, connected_only=self.connected)
+            for idx, g in enumerate(graphs):
+                if self.keep is not None and not self.keep(g):
+                    continue
+                g6 = format_graph6(g)
+                for suffix, extra in self.variants:
+                    cases.append((f"{self.name}-n{n}-g{idx}{suffix}",
+                                  self.name, {"graph6": g6, **extra}))
+        return cases
 
 
-SUITES: dict[str, SuiteSpec] = {}
+SUITES: dict[str, SuiteSpec] = {spec.name: spec for spec in (
+    SuiteSpec("ore", "Graphs without isolated vertices have dominating sets "
+              "of size at most half the order.", 8, _run_half_order_domination,
+              keep=_no_isolated),
+    SuiteSpec("lemma2.2", "Edge-maximum minimum dominating sets keep an "
+              "external private neighbor for every member (connected graphs).",
+              7, _run_edge_max_epn, nmin=2, connected=True),
+    SuiteSpec("lemma2.3", "Removing one external private neighbor per member "
+              "of an optimal dominating set never isolates a vertex "
+              "(connected graphs).", 7, _run_epn_removal, nmin=3,
+              connected=True),
+    SuiteSpec("thm2.4", "Power domination initial-cost product throttling is "
+              "at most 6n/7 on connected graphs, witnessed by a two-step "
+              "certificate, with extremal graphs dominating at exactly 3n/7.",
+              8, _run_product_six_sevenths, nmin=3, connected=True),
+    SuiteSpec("thm2.7", "Power domination sum throttling is at most "
+              "floor(n/3)+2 on connected graphs, witnessed by a certificate.",
+              8, _run_sum_third_plus_two, connected=True),
+    SuiteSpec("lemma3.1", "Completing sets transfer across edge deletion, "
+              "vertex deletion, contraction, and subdivision with controlled "
+              "growth, for all three rules (items 1-7, exhaustive over "
+              "initial sets).", 6, _run_transfer, nmin=2, connected=True,
+              variants=_TRANSFER_VARIANTS),
+    SuiteSpec("prop3.2", "Product throttling under power domination and PSD "
+              "moves by a factor of at most two (three halves for the PSD "
+              "initial-cost subdivision) under local operations.", 7,
+              _run_product_stability, nmin=2, connected=True),
+    SuiteSpec("prop3.12", "Standard-rule no-cost product throttling moves by "
+              "at most one under local operations.", 7,
+              _run_one_step_stability, nmin=2, keep=_has_edge),
+    SuiteSpec("thm3.10", "Standard-rule no-cost product throttling equals the "
+              "least size completing in one step and is at least half the "
+              "order (connected graphs with an edge).", 7,
+              _run_one_step_identity, nmin=2, connected=True),
+    SuiteSpec("thm3.11", "Connected even-order graphs reach half-order "
+              "no-cost product throttling exactly when they are matched-sum "
+              "graphs.", 8, _run_half_order_characterization, nmin=2,
+              connected=True, even_only=True),
+    SuiteSpec("thzx", "Standard-rule initial-cost product throttling equals "
+              "the order on every graph.", 7, _run_product_equals_order),
+    SuiteSpec("remark1.1", "Completing numbers and all three throttling kinds "
+              "sit inside their order bounds on every graph with an edge, for "
+              "all rules.", 7, _run_bounds_chain, nmin=2, keep=_has_edge,
+              variants=_RULE_VARIANTS),
+    SuiteSpec("universal-vertex", "Unit no-cost product, a universal vertex, "
+              "and initial-cost product two coincide under power domination "
+              "(graphs with an edge).", 7, _run_universal_vertex, nmin=2,
+              keep=_has_edge),
+    SuiteSpec("pt-monotone", "Adding a vertex to the initial set never "
+              "increases propagation time, for all rules.", 6,
+              _run_pt_superset, variants=_RULE_VARIANTS),
+    SuiteSpec("psd-step", "The PSD step agrees with the standard step applied "
+              "inside each component of the unfilled subgraph.", 5,
+              _run_component_step),
+)}
 
 
-def _suite(name: str, description: str, default_nmax: int,
-           build: Callable[[int], list[Case]]) -> None:
-    SUITES[name] = SuiteSpec(name, description, default_nmax, build)
-
-
-_suite("ore",
-       "Graphs without isolated vertices have dominating sets of size "
-       "at most half the order.",
-       8,
-       lambda nmax: _graph_cases("ore", "half_order_domination", nmax,
-                                 keep=_no_isolated))
-
-_suite("lemma2.2",
-       "Edge-maximum minimum dominating sets keep an external private "
-       "neighbor for every member (connected graphs).",
-       7,
-       lambda nmax: _graph_cases("lemma2.2", "edge_max_epn", nmax,
-                                 nmin=2, connected=True))
-
-_suite("lemma2.3",
-       "Removing one external private neighbor per member of an optimal "
-       "dominating set never isolates a vertex (connected graphs).",
-       7,
-       lambda nmax: _graph_cases("lemma2.3", "epn_removal", nmax,
-                                 nmin=3, connected=True))
-
-_suite("thm2.4",
-       "Power domination initial-cost product throttling is at most 6n/7 "
-       "on connected graphs, witnessed by a two-step certificate, with "
-       "extremal graphs dominating at exactly 3n/7.",
-       8,
-       lambda nmax: _graph_cases("thm2.4", "product_six_sevenths", nmax,
-                                 nmin=3, connected=True))
-
-_suite("thm2.7",
-       "Power domination sum throttling is at most floor(n/3)+2 on "
-       "connected graphs, witnessed by a certificate.",
-       8,
-       lambda nmax: _graph_cases("thm2.7", "sum_third_plus_two", nmax,
-                                 nmin=1, connected=True))
-
-_suite("lemma3.1",
-       "Completing sets transfer across edge deletion, vertex deletion, "
-       "contraction, and subdivision with controlled growth, for all "
-       "three rules (items 1-7, exhaustive over initial sets).",
-       6,
-       _transfer_cases)
-
-_suite("prop3.2",
-       "Product throttling under power domination and PSD moves by a "
-       "factor of at most two (three halves for the PSD initial-cost "
-       "subdivision) under local operations.",
-       7,
-       lambda nmax: _graph_cases("prop3.2", "product_stability", nmax,
-                                 nmin=2, connected=True))
-
-_suite("prop3.12",
-       "Standard-rule no-cost product throttling moves by at most one "
-       "under local operations.",
-       7,
-       lambda nmax: _graph_cases("prop3.12", "one_step_stability", nmax,
-                                 nmin=2, keep=_has_edge))
-
-_suite("thm3.10",
-       "Standard-rule no-cost product throttling equals the least size "
-       "completing in one step and is at least half the order "
-       "(connected graphs with an edge).",
-       7,
-       lambda nmax: _graph_cases("thm3.10", "one_step_identity", nmax,
-                                 nmin=2, connected=True))
-
-_suite("thm3.11",
-       "Connected even-order graphs reach half-order no-cost product "
-       "throttling exactly when they are matched-sum graphs.",
-       8,
-       lambda nmax: _graph_cases("thm3.11", "half_order_characterization",
-                                 nmax, nmin=2, connected=True,
-                                 even_only=True))
-
-_suite("thzx",
-       "Standard-rule initial-cost product throttling equals the order "
-       "on every graph.",
-       7,
-       lambda nmax: _graph_cases("thzx", "product_equals_order", nmax))
-
-_suite("remark1.1",
-       "Completing numbers and all three throttling kinds sit inside "
-       "their order bounds on every graph with an edge, for all rules.",
-       7,
-       lambda nmax: _graph_cases("remark1.1", "bounds_chain", nmax,
-                                 nmin=2, keep=_has_edge,
-                                 rules=("zf", "psd", "pd")))
-
-_suite("universal-vertex",
-       "Unit no-cost product, a universal vertex, and initial-cost "
-       "product two coincide under power domination (graphs with an "
-       "edge).",
-       7,
-       lambda nmax: _graph_cases("universal-vertex", "universal_vertex",
-                                 nmax, nmin=2, keep=_has_edge))
-
-_suite("pt-monotone",
-       "Adding a vertex to the initial set never increases propagation "
-       "time, for all rules.",
-       6,
-       lambda nmax: _graph_cases("pt-monotone", "pt_superset", nmax,
-                                 rules=("zf", "psd", "pd")))
-
-_suite("psd-step",
-       "The PSD step agrees with the standard step applied inside each "
-       "component of the unfilled subgraph.",
-       5,
-       lambda nmax: _graph_cases("psd-step", "component_step", nmax))
+def run_case(case: Case) -> dict:
+    """Execute one case; unexpected errors become failing records."""
+    case_id, name, payload = case
+    try:
+        return SUITES[name].runner(case_id, payload)
+    except Exception as exc:  # pragma: no cover - indicates a bug
+        return {
+            "id": case_id,
+            "graph6": payload.get("graph6", ""),
+            "check": name,
+            "expected": "no violation",
+            "computed": f"error: {exc!r}",
+            "passed": False,
+            "witness": repr(exc),
+        }
 
 
 def build_cases(name: str, nmax: Optional[int] = None,
@@ -743,13 +620,15 @@ def build_cases(name: str, nmax: Optional[int] = None,
     """Expand a suite into cases, optionally sampling down to a budget."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     spec = SUITES[name]
     limit = spec.default_nmax if nmax is None else nmax
     if not 1 <= limit <= MAX_ENUMERATION_ORDER:
         raise ValueError(
             f"nmax must be between 1 and {MAX_ENUMERATION_ORDER}")
     cases = spec.build(limit)
-    if budget is not None and 0 <= budget < len(cases):
+    if budget is not None and budget < len(cases):
         rng = random.Random(seed)
         picks = sorted(rng.sample(range(len(cases)), budget))
         cases = [cases[i] for i in picks]

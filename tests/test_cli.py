@@ -188,6 +188,14 @@ def test_props_budget_and_seed(capsys):
     assert report["parameters"]["budget"] == 7
 
 
+def test_props_rejects_negative_budget(capsys):
+    code, out, err = run(capsys, "props", "--suite", "psd-step", "--nmax",
+                         "3", "--budget", "-3", "--workers", "1")
+    assert code == 2
+    assert "budget" in err
+    assert out == ""
+
+
 def test_ingest_echoes_normalized_graph6(capsys, tmp_path):
     f = tmp_path / "in.edges"
     f.write_text("4\n0 1\n1 2\n2 3\n")

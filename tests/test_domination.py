@@ -121,9 +121,7 @@ def test_certificate_private_neighbors_cover_the_set():
 @given(graphs(min_n=1, max_n=7))
 def test_domination_is_monotone_under_supersets(g):
     k, wit = domination_number(g)
-    grown = wit.with_vertices(*(
-        v for v in range(g.n) if v not in wit
-    ))
+    grown = wit | g.vertex_set(v for v in range(g.n) if v not in wit)
     assert is_dominating_set(g, grown)
 
 
