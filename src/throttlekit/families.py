@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 
 from .graph import Graph, VertexMap, bits
 from .graphio import read_edge_list
-from .iso import _iso_adj, invariant_key
+from .iso import invariant_key
 
 MAX_ENUMERATION_ORDER = 9
 
@@ -465,12 +465,17 @@ def parse_graph_expression(expr: str) -> Fixture:
 
 @lru_cache(maxsize=None)
 def _iso_classes(n: int) -> tuple[Graph, ...]:
-    """All graphs on n vertices up to isomorphism, by vertex extension."""
+    """All graphs on n vertices up to isomorphism, by vertex extension.
+
+    The candidates are each representative of order n - 1, in order,
+    joined to a new vertex n - 1 by every neighbour mask in ascending
+    order; the first candidate of each isomorphism class is kept, so
+    the representatives, their labels and their order are fixed.
+    """
     if n == 1:
         return (Graph(1),)
     out: list[Graph] = []
-    buckets: dict[tuple, list[tuple[int, ...]]] = {}
-    top = 1 << (n - 1)
+    seen: set[tuple[int, ...]] = set()
     for parent in _iso_classes(n - 1):
         base = parent.adjacency
         for mask in range(1 << (n - 1)):
@@ -478,10 +483,9 @@ def _iso_classes(n: int) -> tuple[Graph, ...]:
                 base[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)
             ) + (mask,)
             key = invariant_key(n, adj)
-            bucket = buckets.setdefault(key, [])
-            if any(_iso_adj(n, adj, seen) is not None for seen in bucket):
+            if key in seen:
                 continue
-            bucket.append(adj)
+            seen.add(key)
             out.append(Graph.from_adjacency(adj))
     return tuple(out)
 

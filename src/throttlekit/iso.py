@@ -1,34 +1,34 @@
-"""Brute-force graph isomorphism for small orders.
+"""Graph isomorphism and canonical keys for small orders.
 
-A degree-refinement coloring prunes the permutation search.  This is
-deliberately dependency-free and is only meant for graphs of at most
-about ten vertices; enumeration and tests stay within that range.
+``invariant_key`` is a complete canonical key found by
+individualization-refinement (McKay & Piperno, "Practical graph
+isomorphism II", 2014): two graphs get equal keys exactly when they are
+isomorphic.  ``find_isomorphism`` keeps a backtracking search pruned by
+a degree-refinement coloring, which stops at the first map it finds.
+Everything is dependency-free and meant for graphs of at most about ten
+vertices; enumeration and tests stay within that range.
 """
 
 from __future__ import annotations
 
 from .graph import Graph, bits
 
-# Structural colors are interned process-wide so that color ids are
-# comparable across graphs.
-_COLOR_IDS: dict[tuple, int] = {}
 
+def refined_colors(n: int, adj: tuple[int, ...],
+                   ids: dict[tuple, int]) -> tuple[int, ...]:
+    """Iterated neighborhood-degree coloring, run to a fixed class count.
 
-def _intern(term: tuple) -> int:
-    got = _COLOR_IDS.get(term)
-    if got is None:
-        got = len(_COLOR_IDS)
-        _COLOR_IDS[term] = got
-    return got
+    Colors are interned in ``ids``; share one table between the graphs
+    whose colors are compared.
+    """
+    def intern(term: tuple) -> int:
+        return ids.setdefault(term, len(ids))
 
-
-def refined_colors(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
-    """Iterated neighborhood-degree coloring, run to a fixed class count."""
-    colors = [_intern(("deg", adj[v].bit_count())) for v in range(n)]
+    colors = [intern(("deg", adj[v].bit_count())) for v in range(n)]
     distinct = len(set(colors))
     for _ in range(n):
         colors = [
-            _intern((colors[v], tuple(sorted(colors[w] for w in bits(adj[v])))))
+            intern((colors[v], tuple(sorted(colors[w] for w in bits(adj[v])))))
             for v in range(n)
         ]
         now = len(set(colors))
@@ -38,16 +38,110 @@ def refined_colors(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(colors)
 
 
-def invariant_key(n: int, adj: tuple[int, ...]) -> tuple:
-    """An isomorphism-invariant bucket key (not a complete canonical form)."""
-    edge_count = sum(m.bit_count() for m in adj) // 2
-    return (n, edge_count, tuple(sorted(refined_colors(n, adj))))
+def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> None:
+    """Refine the ordered partition ``cells`` (vertex masks) in place.
+
+    Each cell is split by how many neighbours its vertices have in a
+    splitter taken from ``queue``; the sub-cells replace it in
+    increasing order of that count and join the queue.  From the unit
+    partition with the whole vertex set queued, or from an equitable
+    partition with one vertex split off and queued, the result is
+    equitable.  Every step depends only on the structure, so relabeling
+    the graph relabels the result.
+    """
+    n = len(adj)
+    while queue and len(cells) < n:
+        splitter = queue.pop()
+        if splitter & (splitter - 1) == 0:
+            # One vertex: the counts are 0 and 1, so each cell splits
+            # into its non-neighbours and its neighbours of that vertex.
+            near = adj[splitter.bit_length() - 1]
+            i = 0
+            while i < len(cells):
+                cell = cells[i]
+                inside = cell & near
+                if inside and inside != cell:
+                    cells[i:i + 1] = [cell ^ inside, inside]
+                    queue += [cell ^ inside, inside]
+                    i += 2
+                else:
+                    i += 1
+            continue
+        i = 0
+        while i < len(cells):
+            cell = cells[i]
+            if cell & (cell - 1):
+                groups: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    count = (adj[low.bit_length() - 1] & splitter).bit_count()
+                    groups[count] = groups.get(count, 0) | low
+                if len(groups) > 1:
+                    parts = [groups[c] for c in sorted(groups)]
+                    cells[i:i + 1] = parts
+                    queue.extend(parts)
+                    i += len(parts)
+                    continue
+            i += 1
+
+
+def invariant_key(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
+    """A complete canonical key: equal exactly for isomorphic graphs.
+
+    The unit partition is refined to an equitable one; the search then
+    individualizes each vertex of the first smallest non-singleton cell
+    in turn (skipping twins of vertices already tried there, whose
+    subtrees are images under an automorphism) and refines again, down
+    to discrete partitions.  Each such leaf orders the vertices; the key
+    is the least leaf certificate, the adjacency rows under that order.
+    """
+    best: tuple[int, ...] | None = None
+
+    def search(cells: list[int]) -> None:
+        nonlocal best
+        if len(cells) == n:
+            image = [0] * n
+            for i, cell in enumerate(cells):
+                image[cell.bit_length() - 1] = 1 << i
+            rows = []
+            for cell in cells:
+                row = 0
+                rest = adj[cell.bit_length() - 1]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    row |= image[low.bit_length() - 1]
+                rows.append(row)
+            cert = tuple(rows)
+            if best is None or cert < best:
+                best = cert
+            return
+        target = min((c.bit_count(), i) for i, c in enumerate(cells)
+                     if c & (c - 1))[1]
+        cell = cells[target]
+        tried: list[int] = []
+        for v in bits(cell):
+            if any(adj[v] & ~(1 << u) == adj[u] & ~(1 << v) for u in tried):
+                continue
+            tried.append(v)
+            child = cells[:target] + [1 << v, cell ^ (1 << v)] + cells[target + 1:]
+            _refine(adj, child, [1 << v])
+            search(child)
+
+    full = (1 << n) - 1
+    cells = [full] if n else []
+    _refine(adj, cells, [full])
+    search(cells)
+    return best
 
 
 def _iso_adj(n: int, adj_a: tuple[int, ...], adj_b: tuple[int, ...]) -> tuple[int, ...] | None:
     """Find a label mapping carrying adj_a onto adj_b, or None."""
-    colors_a = refined_colors(n, adj_a)
-    colors_b = refined_colors(n, adj_b)
+    ids: dict[tuple, int] = {}
+    colors_a = refined_colors(n, adj_a, ids)
+    colors_b = refined_colors(n, adj_b, ids)
     if sorted(colors_a) != sorted(colors_b):
         return None
 

@@ -617,17 +617,26 @@ def run_case(case: Case) -> dict:
 
 def build_cases(name: str, nmax: Optional[int] = None,
                 budget: Optional[int] = None, seed: int = 0) -> list[Case]:
-    """Expand a suite into cases, optionally sampling down to a budget."""
+    """Expand a suite into cases, optionally sampling down to a budget.
+
+    A scope that yields no case is an error, not an empty pass: a zero
+    budget, or an nmax below the suite's least order.
+    """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
     spec = SUITES[name]
     limit = spec.default_nmax if nmax is None else nmax
     if not 1 <= limit <= MAX_ENUMERATION_ORDER:
         raise ValueError(
             f"nmax must be between 1 and {MAX_ENUMERATION_ORDER}")
     cases = spec.build(limit)
+    if not cases:
+        least = next(n for n in range(limit + 1, MAX_ENUMERATION_ORDER + 1)
+                     if spec.build(n))
+        raise ValueError(f"suite {name} has no case at nmax {limit}; "
+                         f"its least order is {least}")
     if budget is not None and budget < len(cases):
         rng = random.Random(seed)
         picks = sorted(rng.sample(range(len(cases)), budget))

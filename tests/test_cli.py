@@ -196,6 +196,17 @@ def test_props_rejects_negative_budget(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--suite", "lemma2.3", "--nmax", "2"), "least order is 3"),
+    (("--suite", "psd-step", "--nmax", "3", "--budget", "0"), "budget"),
+])
+def test_props_rejects_scope_without_cases(capsys, argv, message):
+    code, out, err = run(capsys, "props", *argv, "--workers", "1")
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_ingest_echoes_normalized_graph6(capsys, tmp_path):
     f = tmp_path / "in.edges"
     f.write_text("4\n0 1\n1 2\n2 3\n")

@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
 from throttlekit.families import (
     MAX_ENUMERATION_ORDER,
     PARAMETRIC_FIXTURES,
     STATIC_FIXTURES,
+    _iso_classes,
     book,
     complete,
     corona,
@@ -28,6 +31,18 @@ from throttlekit.iso import are_isomorphic
 # Counts of graphs on n vertices up to isomorphism (all / connected).
 ISO_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 CONNECTED_ISO_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+# sha1 of repr([g.adjacency for g in _iso_classes(n)]): which
+# representatives enumeration keeps, their labels and their order.
+ENUMERATION_DIGESTS = {
+    1: "a263fe0345d996f566cd621ad5df79370ab410e4",
+    2: "71e6919706a64a1301b2aa7d8e63ec3d7a19d783",
+    3: "4750de6db2f17e490a1b198d2a718c619475ef13",
+    4: "0eeb30f26123e47b434464cb1c96cbaeb1b21b92",
+    5: "7b8b010eea944fded601cc957dae33d8d7d17244",
+    6: "da9377efdd3275e76bb9fbd6c1cbee772d17b8cd",
+    7: "5804a2d5bb4a281ec51535d71d8f9b756bc198cd",
+    8: "b8b4c8ca09622ee94fdf7fd89ace62444d797391",
+}
 
 
 def test_basic_generators():
@@ -233,12 +248,18 @@ def test_parametric_catalog_is_honest():
         assert parse_graph_expression(expr).graph.n >= 1
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_iso_class_counts(n):
     assert sum(1 for _ in enumerate_graphs(n)) == ISO_COUNTS[n]
     assert sum(
         1 for _ in enumerate_graphs(n, connected_only=True)
     ) == CONNECTED_ISO_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumeration_output_is_pinned(n):
+    text = repr([g.adjacency for g in _iso_classes(n)])
+    assert hashlib.sha1(text.encode()).hexdigest() == ENUMERATION_DIGESTS[n]
 
 
 def test_iso_classes_are_pairwise_non_isomorphic():

@@ -118,6 +118,12 @@ def test_unknown_suite_and_bad_scope():
         build_cases("ore", nmax=100)
     with pytest.raises(ValueError):
         build_cases("ore", nmax=3, budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        build_cases("psd-step", nmax=3, budget=0)
+    with pytest.raises(ValueError, match="lemma2.3 .* least order is 3"):
+        build_cases("lemma2.3", nmax=2)
+    with pytest.raises(ValueError, match="ore .* least order is 2"):
+        build_cases("ore", nmax=1)
 
 
 def test_run_case_survives_runner_crashes():
