@@ -81,6 +81,22 @@ def _compute_sources(args) -> list[tuple[str, Graph, dict[str, int]]]:
     return [(f"{args.input}[{i}]", g, {}) for i, g in enumerate(graphs)]
 
 
+def _check_compute_options(args) -> None:
+    """Refuse an option that the requested computation would ignore."""
+    pt = args.parameter == "pt"
+    if args.k is not None and not pt:
+        raise ValueError("--k requires --parameter pt")
+    if args.set and args.k is not None:
+        raise ValueError("--k and --set cannot be combined")
+    if args.set and args.parameter and not pt:
+        raise ValueError(
+            f"--set does not apply to --parameter {args.parameter}")
+    if args.per_k and (args.parameter or args.set):
+        raise ValueError("--per-k requires --kind without --set")
+    if args.trace and not args.set:
+        raise ValueError("--trace requires --set")
+
+
 def _compute_one(label: str, g: Graph, names: dict[str, int], args) -> dict:
     record: dict = {"id": label, "order": g.n}
     rule = Rule(args.rule) if args.rule else None
@@ -90,9 +106,6 @@ def _compute_one(label: str, g: Graph, names: dict[str, int], args) -> dict:
         if rule is None:
             raise ValueError("this computation requires --rule")
         return rule
-
-    if args.trace and initial is None:
-        raise ValueError("--trace requires --set")
 
     if args.parameter:
         record["parameter"] = args.parameter
@@ -148,6 +161,7 @@ def _print_trace(record: dict) -> None:
 
 
 def _cmd_compute(args) -> int:
+    _check_compute_options(args)
     records = [_compute_one(label, g, names, args)
                for label, g, names in _compute_sources(args)]
     if args.json:

@@ -16,7 +16,7 @@ from importlib import resources
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
-from .graph import Graph, VertexMap, bits
+from .graph import Graph, VertexMap
 from .graphio import read_edge_list
 from .iso import invariant_key
 
@@ -490,25 +490,13 @@ def _iso_classes(n: int) -> tuple[Graph, ...]:
     return tuple(out)
 
 
-def enumerate_graphs(n: int, connected_only: bool = False,
-                     up_to_iso: bool = True) -> Iterator[Graph]:
-    """Stream the graphs of order n, optionally connected only.
-
-    With ``up_to_iso`` one representative per isomorphism class is
-    produced (deterministic discovery order); otherwise every labeled
-    graph is produced in ascending edge-mask order.
-    """
+def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
+    """Stream one representative per isomorphism class of order n,
+    optionally connected only, in a fixed discovery order."""
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError(
             f"order must be between 1 and {MAX_ENUMERATION_ORDER}, got {n}"
         )
-    if up_to_iso:
-        for g in _iso_classes(n):
-            if not connected_only or g.is_connected():
-                yield g
-        return
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        g = Graph(n, (pairs[i] for i in bits(mask)))
+    for g in _iso_classes(n):
         if not connected_only or g.is_connected():
             yield g

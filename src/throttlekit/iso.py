@@ -1,41 +1,14 @@
-"""Graph isomorphism and canonical keys for small orders.
+"""Graph isomorphism and canonical keys from one search.
 
-``invariant_key`` is a complete canonical key found by
-individualization-refinement (McKay & Piperno, "Practical graph
-isomorphism II", 2014): two graphs get equal keys exactly when they are
-isomorphic.  ``find_isomorphism`` keeps a backtracking search pruned by
-a degree-refinement coloring, which stops at the first map it finds.
-Everything is dependency-free and meant for graphs of at most about ten
-vertices; enumeration and tests stay within that range.
+One individualization-refinement search (McKay & Piperno, "Practical
+graph isomorphism II", 2014) gives two answers.  Its least leaf
+certificate is ``invariant_key``, a complete canonical key: equal
+exactly for isomorphic graphs.  That leaf also orders the vertices, so
+``find_isomorphism`` maps one graph's order onto the other's.
 """
-
 from __future__ import annotations
 
 from .graph import Graph, bits
-
-
-def refined_colors(n: int, adj: tuple[int, ...],
-                   ids: dict[tuple, int]) -> tuple[int, ...]:
-    """Iterated neighborhood-degree coloring, run to a fixed class count.
-
-    Colors are interned in ``ids``; share one table between the graphs
-    whose colors are compared.
-    """
-    def intern(term: tuple) -> int:
-        return ids.setdefault(term, len(ids))
-
-    colors = [intern(("deg", adj[v].bit_count())) for v in range(n)]
-    distinct = len(set(colors))
-    for _ in range(n):
-        colors = [
-            intern((colors[v], tuple(sorted(colors[w] for w in bits(adj[v])))))
-            for v in range(n)
-        ]
-        now = len(set(colors))
-        if now == distinct:
-            break
-        distinct = now
-    return tuple(colors)
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> None:
@@ -87,17 +60,17 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> None:
             i += 1
 
 
-def invariant_key(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
-    """A complete canonical key: equal exactly for isomorphic graphs.
+def _canonical(n: int, adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """The least leaf certificate and that leaf's cells, in order.
 
     The unit partition is refined to an equitable one; the search then
     individualizes each vertex of the first smallest non-singleton cell
     in turn (skipping twins of vertices already tried there, whose
     subtrees are images under an automorphism) and refines again, down
-    to discrete partitions.  Each such leaf orders the vertices; the key
-    is the least leaf certificate, the adjacency rows under that order.
+    to discrete partitions.  A leaf's i-th cell is the vertex it puts at
+    position i; its certificate is the adjacency rows in that order.
     """
-    best: tuple[int, ...] | None = None
+    best: tuple[tuple[int, ...], list[int]] | None = None
 
     def search(cells: list[int]) -> None:
         nonlocal best
@@ -115,8 +88,8 @@ def invariant_key(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
                     row |= image[low.bit_length() - 1]
                 rows.append(row)
             cert = tuple(rows)
-            if best is None or cert < best:
-                best = cert
+            if best is None or cert < best[0]:
+                best = cert, cells
             return
         target = min((c.bit_count(), i) for i, c in enumerate(cells)
                      if c & (c - 1))[1]
@@ -137,50 +110,23 @@ def invariant_key(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
     return best
 
 
+def invariant_key(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
+    """A complete canonical key: equal exactly for isomorphic graphs."""
+    return _canonical(n, adj)[0]
+
+
 def _iso_adj(n: int, adj_a: tuple[int, ...], adj_b: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Find a label mapping carrying adj_a onto adj_b, or None."""
-    ids: dict[tuple, int] = {}
-    colors_a = refined_colors(n, adj_a, ids)
-    colors_b = refined_colors(n, adj_b, ids)
-    if sorted(colors_a) != sorted(colors_b):
+    """Find a label mapping carrying adj_a onto adj_b, or None.
+
+    Equal certificates relabel both graphs to one adjacency, so the
+    vertex at each leaf position in adj_a maps to the one there in adj_b.
+    """
+    key_a, cells_a = _canonical(n, adj_a)
+    key_b, cells_b = _canonical(n, adj_b)
+    if key_a != key_b:
         return None
-
-    class_size: dict[int, int] = {}
-    for c in colors_a:
-        class_size[c] = class_size.get(c, 0) + 1
-    order = sorted(range(n), key=lambda v: (class_size[colors_a[v]], colors_a[v], v))
-    candidates = {
-        v: [w for w in range(n) if colors_b[w] == colors_a[v]] for v in order
-    }
-
-    mapping: list[int] = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for j in range(i):
-                p = order[j]
-                if (adj_a[v] >> p & 1) != (adj_b[w] >> mapping[p] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    if extend(0):
-        return tuple(mapping)
-    return None
+    # Sorting the one-vertex masks of adj_a's leaf sorts by vertex.
+    return tuple(b.bit_length() - 1 for _, b in sorted(zip(cells_a, cells_b)))
 
 
 def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:

@@ -61,16 +61,20 @@ class Report:
 
 
 def resolve_workers(explicit: Optional[int] = None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("THROTTLE_WORKERS", "").strip()
-    if env:
+    name, workers = "workers", explicit
+    if workers is None:
+        env = os.environ.get("THROTTLE_WORKERS", "").strip()
+        if not env:
+            return max(1, min(os.cpu_count() or 1, 8))
+        name = "THROTTLE_WORKERS"
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise ValueError(
                 f"THROTTLE_WORKERS must be an integer, got {env!r}")
-    return max(1, min(os.cpu_count() or 1, 8))
+    if workers < 1:
+        raise ValueError(f"{name} must be positive, got {workers}")
+    return workers
 
 
 def _pool_map(func, items: list, workers: int) -> list:
@@ -88,9 +92,9 @@ def run_suite(name: str, nmax: Optional[int] = None,
 
     The wall time covers building the cases (enumeration included) as
     well as running them."""
+    count = resolve_workers(workers)
     start = time.perf_counter()
     cases = build_cases(name, nmax=nmax, budget=budget, seed=seed)
-    count = resolve_workers(workers)
     records = _pool_map(run_case, cases, count)
     elapsed = time.perf_counter() - start
     records.sort(key=lambda r: r["id"])

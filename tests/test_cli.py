@@ -117,6 +117,25 @@ def test_compute_rejects_bad_graph6(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--rule", "zf", "--kind", "sum", "--k", "3"),
+     "--k requires --parameter pt"),
+    (("--rule", "zf", "--parameter", "pt", "--set", "0", "--k", "2"),
+     "--k and --set"),
+    (("--parameter", "gamma", "--set", "0,1"), "--parameter gamma"),
+    (("--rule", "zf", "--parameter", "number", "--set", "0,1"),
+     "--parameter number"),
+    (("--parameter", "k1", "--set", "0,1"), "--parameter k1"),
+    (("--rule", "zf", "--parameter", "number", "--per-k"), "--per-k"),
+    (("--rule", "zf", "--kind", "sum", "--set", "0", "--per-k"), "--per-k"),
+])
+def test_compute_rejects_ignored_options(capsys, argv, message):
+    code, out, err = run(capsys, "compute", "--fixture", "path:5", *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_compute_over_input_file(capsys, tmp_path):
     f = tmp_path / "batch.g6"
     f.write_text(format_graph6(path(4)) + "\n" + format_graph6(path(6)) + "\n")
@@ -204,6 +223,17 @@ def test_props_rejects_scope_without_cases(capsys, argv, message):
     code, out, err = run(capsys, "props", *argv, "--workers", "1")
     assert code == 2
     assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ("paper-suite",),
+    ("props", "--suite", "psd-step", "--nmax", "3"),
+])
+def test_rejects_workers_below_one(capsys, command):
+    code, out, err = run(capsys, *command, "--workers", "-4")
+    assert code == 2
+    assert "error: workers must be positive, got -4" in err
     assert out == ""
 
 

@@ -269,13 +269,6 @@ def test_iso_classes_are_pairwise_non_isomorphic():
             assert not are_isomorphic(g, h)
 
 
-def test_labeled_enumeration():
-    assert sum(1 for _ in enumerate_graphs(3, up_to_iso=False)) == 8
-    assert sum(
-        1 for _ in enumerate_graphs(3, up_to_iso=False, connected_only=True)
-    ) == 4
-
-
 def test_enumeration_bounds():
     with pytest.raises(ValueError):
         list(enumerate_graphs(0))

@@ -247,5 +247,10 @@ def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv("THROTTLE_WORKERS", "zero")
     with pytest.raises(ValueError):
         resolve_workers()
+    monkeypatch.setenv("THROTTLE_WORKERS", "0")
+    with pytest.raises(ValueError, match="THROTTLE_WORKERS must be positive"):
+        resolve_workers()
+    with pytest.raises(ValueError, match="workers must be positive, got -4"):
+        resolve_workers(-4)
     monkeypatch.delenv("THROTTLE_WORKERS")
     assert resolve_workers() >= 1
