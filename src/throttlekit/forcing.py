@@ -18,6 +18,18 @@ propagation time, ``slope * pt + offset``, so the scan can cap each
 propagation by the incumbent cost and stop once it reaches the least
 cost possible at that size.  Witnesses are deterministic: the scan keeps
 the first set in colexicographic order that reaches its best cost.
+
+Two counting bounds make the scan skip work:
+
+* the chain floor: under the standard rule a size-k start set is k
+  forcing chains, each growing by at most one vertex a step, so a
+  completing set has pt >= ceil((n - k) / k) when 0 < k < n.  The least
+  cost at a size uses it, so a size whose floor cannot beat the incumbent
+  is skipped, and a scan stops early once a set reaches it;
+* the fill limit: a capped ``_pt`` run stops as soon as its unfilled
+  vertices exceed ``limit * (cap - t)``, where ``limit`` bounds the
+  vertices a step can color: the filled count for the standard rule and
+  for power domination after its first round, and n for the PSD rule.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .graph import Graph, VertexSet, bits, mask_components
+from .graph import Graph, VertexSet, mask_components
 
 INFINITY = float("inf")
 
@@ -61,30 +73,47 @@ def _size_masks(n: int, k: int) -> Iterator[int]:
 def _standard_step(adj: tuple[int, ...], filled: int, full: int) -> int:
     new = 0
     unfilled = full & ~filled
-    for v in bits(filled):
-        w = adj[v] & unfilled
+    rest = filled
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        w = adj[low.bit_length() - 1] & unfilled
         if w and not (w & (w - 1)):
             new |= w
     return new
 
 
 def _psd_step(adj: tuple[int, ...], filled: int, full: int) -> int:
+    # A filled vertex with one unfilled neighbor forces it whatever the
+    # components are; only vertices with two or more need them.
     unfilled = full & ~filled
-    if not unfilled:
-        return 0
     new = 0
-    for comp in mask_components(adj, unfilled):
-        for v in bits(filled):
-            w = adj[v] & comp
-            if w and not (w & (w - 1)):
-                new |= w
+    split = []
+    rest = filled
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        w = adj[low.bit_length() - 1] & unfilled
+        if w & (w - 1):
+            split.append(w)
+        else:
+            new |= w
+    if split:
+        for comp in mask_components(adj, unfilled):
+            for w in split:
+                w &= comp
+                if w and not (w & (w - 1)):
+                    new |= w
     return new
 
 
 def _domination_step(adj: tuple[int, ...], filled: int, full: int) -> int:
     reach = filled
-    for v in bits(filled):
-        reach |= adj[v]
+    rest = filled
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        reach |= adj[low.bit_length() - 1]
     return reach & full & ~filled
 
 
@@ -100,18 +129,46 @@ def _step_mask(rule: Rule, adj: tuple[int, ...], filled: int, full: int,
 def _pt(rule: Rule, adj: tuple[int, ...], n: int, mask: int,
         cap: Optional[int] = None) -> Optional[Time]:
     """Propagation time of ``mask``: an int, INFINITY on a stall, or
-    None once the time provably exceeds ``cap``."""
+    None once the time provably exceeds ``cap``.
+
+    A capped run is cut as soon as its unfilled vertices cannot all be
+    colored within the cap, so it may return None where it would have
+    stalled.
+    """
     full = (1 << n) - 1
+    if mask == full:
+        return 0
     filled = mask
     t = 0
-    while filled != full:
-        new = _step_mask(rule, adj, filled, full, t + 1)
+    if rule is Rule.POWER_DOMINATION:
+        if cap is not None and cap < 1:
+            return None
+        filled |= _domination_step(adj, filled, full)
+        if filled == mask:
+            return INFINITY
+        t = 1
+    if rule is Rule.PSD:
+        advance = _psd_step
+        limit = n
+    else:
+        # One forcing chain starts at each filled vertex, and a chain
+        # grows by at most one vertex a step.
+        advance = _standard_step
+        limit = filled.bit_count()
+    unfilled = n - filled.bit_count()
+    # The cut: the unfilled vertices need more than the steps left.
+    spare = None if cap is None else limit * (cap - t)
+    while unfilled:
+        if spare is not None:
+            if unfilled > spare:
+                return None
+            spare -= limit
+        new = advance(adj, filled, full)
         if not new:
             return INFINITY
         t += 1
         filled |= new
-        if cap is not None and t >= cap and filled != full:
-            return None
+        unfilled -= new.bit_count()
     return t
 
 
@@ -212,14 +269,24 @@ def is_forcing_set(rule: Rule, g: Graph, initial: VertexSet) -> bool:
     return propagation_time(rule, g, initial) != INFINITY
 
 
+def _least_pt(rule: Rule, n: int, k: int) -> int:
+    # Only the full set finishes in no steps.  Under the standard rule
+    # each of the k forcing chains grows by at most one vertex a step, so
+    # a completing set needs n <= k * (pt + 1).
+    if k >= n:
+        return 0
+    if rule is Rule.STANDARD and k:
+        return -(-(n - k) // k)
+    return 1
+
+
 def _sized_scan(rule: Rule, adj: tuple[int, ...], n: int, k: int,
                 slope: int, offset: int,
                 incumbent: Optional[int] = None) -> Optional[tuple[int, int, int]]:
     """Least cost ``slope * pt + offset`` over the size-k start sets that
     strictly beat ``incumbent``, as (cost, pt, colex-first mask), or None
     when no such set completes."""
-    # Only the full set finishes in no steps.
-    floor = offset + (slope if k < n else 0)
+    floor = offset + slope * _least_pt(rule, n, k)
     if incumbent is not None and floor >= incumbent:
         return None
     # The cap admits only times whose cost strictly beats the incumbent.

@@ -16,6 +16,12 @@ The sum and prodx optima range over every start size up to the order;
 the prodstar optimum excludes the full vertex set (its cost would be a
 degenerate 0) and is undefined on edgeless graphs.  Witnesses are
 deterministic: least value, then least size, then colex-least set.
+
+Without a table, ``throttling_number`` seeds its incumbent with a cost
+every graph reaches under all three rules: n for sum and prodx (the
+full set) and n - 1 for prodstar (all vertices but one with a
+neighbor, which is colored in one step).  Sizes whose least cost already
+reaches the optimum are then skipped before the first hit.
 """
 
 from __future__ import annotations
@@ -147,12 +153,15 @@ def throttling_number(rule: Rule, kind: ThrottleKind, g: Graph,
     # returns a hit only when it strictly beats every smaller size.  A
     # size that cannot beat it is skipped, never the end of the walk: the
     # least cost rises with the size but falls to n at the full set.
+    # The walk starts from the cost `top` that every graph reaches (see
+    # the module docstring), so only costs up to it are scanned for.
     best: Optional[tuple[int, int, int]] = None
     best_k = 0
     table: Optional[dict[int, TableEntry]] = {} if with_table else None
     top = n - 1 if kind is ThrottleKind.PRODUCT_NO_INITIAL_COST else n
     for k in range(1, top + 1):
-        incumbent = None if with_table or best is None else best[0]
+        incumbent = None if with_table else \
+            top + 1 if best is None else best[0]
         hit = _sized_scan(rule, g.adjacency, n, k, *_cost_line(kind, k),
                           incumbent)
         if table is not None:

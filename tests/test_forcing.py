@@ -1,12 +1,13 @@
 """The fast engine against a plain-set oracle, plus step semantics."""
 
 from itertools import combinations
-from math import inf
+from math import ceil, inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from throttlekit import forcing
 from throttlekit.families import (
     complete,
     cycle,
@@ -18,6 +19,10 @@ from throttlekit.families import (
 from throttlekit.forcing import (
     INFINITY,
     Rule,
+    _least_pt,
+    _psd_step,
+    _pt,
+    _standard_step,
     forcing_number,
     graph_propagation_time,
     is_forcing_set,
@@ -55,6 +60,73 @@ def test_engine_matches_oracle_exhaustively(rule):
                     assert got == (INFINITY if expected is inf else expected), (
                         f"{rule} disagrees on {g!r} from {combo}"
                     )
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_capped_pt_matches_oracle(rule):
+    # Every graph up to order 6, every start mask, every cap from 0 to n:
+    # a time within the cap comes back exactly, any other run is cut
+    # (None) or, if it really stalls, may report the stall.
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            for mask in range(1 << n):
+                members = [v for v in range(n) if mask >> v & 1]
+                t = oracles.naive_pt(as_oracle_rule(rule), g, members)
+                for cap in range(n + 1):
+                    got = _pt(rule, g.adjacency, n, mask, cap)
+                    where = f"{rule} on {g!r} from {members} with cap {cap}"
+                    if t <= cap:
+                        assert got == t, where
+                    else:
+                        assert got is None or (got == INFINITY and t == inf), where
+
+
+def test_step_kernels_match_oracle():
+    # Every filled mask of every graph up to order 6.
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            nbrs = oracles.adjacency_sets(g)
+            for mask in range(1 << n):
+                filled = {v for v in range(n) if mask >> v & 1}
+                zf = sum(1 << v for v in oracles.standard_step(nbrs, filled))
+                psd = sum(1 << v for v in oracles.psd_step(nbrs, n, filled))
+                assert _standard_step(g.adjacency, mask, g.full_mask) == zf, \
+                    f"{g!r} from {sorted(filled)}"
+                assert _psd_step(g.adjacency, mask, g.full_mask) == psd, \
+                    f"{g!r} from {sorted(filled)}"
+
+
+def test_zero_forcing_chain_floor():
+    # The k forcing chains each grow by at most one vertex a step, so a
+    # completing size-k set needs at least ceil((n - k) / k) steps.
+    for n in range(2, 7):
+        for g in enumerate_graphs(n):
+            for k in range(1, n):
+                floor = ceil((n - k) / k)
+                assert _least_pt(Rule.STANDARD, n, k) == floor
+                best = oracles.naive_kpt("zf", g, k)
+                assert best == inf or best >= floor, f"{g!r} at size {k}"
+
+
+def test_pt_reaches_step_rules_through_module_names(monkeypatch):
+    # The benchmark's tracer counts steps by rebinding these names, so
+    # _pt must look them up on every step.
+    counts = {}
+    for name in ("_standard_step", "_psd_step", "_domination_step"):
+        def counted(*args, _name=name, _step=getattr(forcing, name)):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _step(*args)
+        monkeypatch.setattr(forcing, name, counted)
+    g = path(5)
+    expected = {
+        Rule.STANDARD: {"_standard_step": 4},
+        Rule.PSD: {"_psd_step": 4},
+        Rule.POWER_DOMINATION: {"_domination_step": 1, "_standard_step": 3},
+    }
+    for rule, steps in expected.items():
+        counts.clear()
+        assert forcing._pt(rule, g.adjacency, g.n, 0b1) == 4
+        assert counts == steps, rule
 
 
 @given(graphs(max_n=7), st.data())

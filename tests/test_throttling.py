@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from throttlekit import forcing
 from throttlekit.families import (
     complete,
     cycle,
@@ -254,6 +255,44 @@ def test_is_matched_sum_requires_even_order():
     assert is_matched_sum(matched_complete(4).graph)[0]
     assert not is_matched_sum(cycle(6))[0]
     assert is_matched_sum(cycle(4))[0]
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_optimum_is_at_most_the_seeded_incumbent(rule):
+    # The full set costs n under sum and prodx; with an edge, V - {v} for
+    # a non-isolated v costs n - 1 under prodstar.
+    for g in all_graphs_up_to(6):
+        n = g.n
+        for kind in KINDS:
+            if kind is ThrottleKind.PRODUCT_NO_INITIAL_COST:
+                if g.edge_count == 0:
+                    continue
+                bound = n - 1
+            else:
+                bound = n
+            value, _, _ = oracles.naive_throttling(rule.value, kind.value, g)
+            assert value <= bound, f"{rule} {kind} on {g!r}"
+
+
+def test_long_cycles_and_paths_finish_in_few_propagations(monkeypatch):
+    calls = 0
+    pt = forcing._pt
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return pt(*args)
+
+    monkeypatch.setattr(forcing, "_pt", counted)
+    res = throttling_number(Rule.STANDARD, ThrottleKind.PRODUCT_INITIAL_COST,
+                            cycle(40))
+    assert (res.value, res.size, res.witness.members) == (40, 2, (0, 1))
+    assert calls <= 1000
+    calls = 0
+    res = throttling_number(Rule.STANDARD, ThrottleKind.PRODUCT_INITIAL_COST,
+                            path(60))
+    assert (res.value, res.size) == (60, 1)
+    assert calls <= 1000
 
 
 @given(graphs(min_n=1, max_n=6), st.sampled_from(RULES),
