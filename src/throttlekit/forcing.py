@@ -19,13 +19,26 @@ propagation by the incumbent cost and stop once it reaches the least
 cost possible at that size.  Witnesses are deterministic: the scan keeps
 the first set in colexicographic order that reaches its best cost.
 
+Under the standard rule the scan is bit-sliced (Biham, "A fast new DES
+implementation in software", FSE 1997).  It cuts the size-k sets into
+blocks of at most ``BLOCK_SETS``: a fixed mask of high vertices plus
+every j-subset of {0..t-1}.  Bit i of a vertex's plane int says whether
+the vertex is filled in the block's i-th set, so a few big-int
+operations per edge run one step for every set in the block.  The first
+step at which the AND of all planes is non-zero gives the block's least
+time, and its lowest bit the colex-first set reaching it.  The PSD and
+power domination rules evaluate one set at a time with ``_pt``.
+
 Two counting bounds make the scan skip work:
 
-* the chain floor: under the standard rule a size-k start set is k
+* the chain floors: under the standard rule a size-k start set is k
   forcing chains, each growing by at most one vertex a step, so a
-  completing set has pt >= ceil((n - k) / k) when 0 < k < n.  The least
-  cost at a size uses it, so a size whose floor cannot beat the incumbent
-  is skipped, and a scan stops early once a set reaches it;
+  completing set has pt >= ceil((n - k) / k) when 0 < k < n.  Under power
+  domination the vertices of the start set have no unfilled neighbor
+  after the first round, so at most k * maxdeg chains grow and pt >=
+  ceil((n - k) / (k * maxdeg)).  The least cost at a size uses them, so
+  a size whose floor cannot beat the incumbent is skipped, and a scan
+  stops early once a set reaches it;
 * the fill limit: a capped ``_pt`` run stops as soon as its unfilled
   vertices exceed ``limit * (cap - t)``, where ``limit`` bounds the
   vertices a step can color: the filled count for the standard rule and
@@ -36,11 +49,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from math import comb
+from operator import and_
 from typing import Iterator, Optional, Union
 
-from .graph import Graph, VertexSet, mask_components
+from .graph import Graph, VertexSet, bits, mask_components
 
 INFINITY = float("inf")
+
+# Start sets per block of the bit-sliced standard scan.
+BLOCK_SETS = 4096
 
 Time = Union[int, float]
 
@@ -269,15 +288,130 @@ def is_forcing_set(rule: Rule, g: Graph, initial: VertexSet) -> bool:
     return propagation_time(rule, g, initial) != INFINITY
 
 
-def _least_pt(rule: Rule, n: int, k: int) -> int:
+def _least_pt(rule: Rule, adj: tuple[int, ...], n: int, k: int) -> int:
     # Only the full set finishes in no steps.  Under the standard rule
     # each of the k forcing chains grows by at most one vertex a step, so
-    # a completing set needs n <= k * (pt + 1).
+    # a completing set needs n <= k * (pt + 1).  Under power domination
+    # the first round fills at most k * maxdeg vertices outside the start
+    # set, and only those can start chains, so n <= k + k * maxdeg * pt.
     if k >= n:
         return 0
     if rule is Rule.STANDARD and k:
         return -(-(n - k) // k)
+    if rule is Rule.POWER_DOMINATION and 0 < k < n - k:
+        # Below that size the floor can exceed 1.
+        maxdeg = _max_degree(adj)
+        if maxdeg:
+            return -(-(n - k) // (k * maxdeg))
     return 1
+
+
+# The optimizers scan one graph size after size, so the per-graph facts
+# the scan needs are kept for the last few adjacencies.
+@lru_cache(maxsize=64)
+def _max_degree(adj: tuple[int, ...]) -> int:
+    return max(map(int.bit_count, adj))
+
+
+@lru_cache(maxsize=64)
+def _neighbors(adj: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # Built from lists: a tuple grown from a generator is resized, and on
+    # a sweep over thousands of small graphs that raised the peak
+    # resident memory by about 0.5 MB.
+    return tuple([tuple([*bits(row)]) for row in adj])
+
+
+def _blocks(n: int, k: int) -> Iterator[tuple[int, int, int]]:
+    """The size-k masks below 2**n cut into blocks (high, t, j): the
+    mask ``high`` joined with every j-subset of {0..t-1}, at most
+    BLOCK_SETS sets each.  End to end they list ``_size_masks(n, k)``."""
+    stack = [(0, n, k)]
+    while stack:
+        high, t, j = stack.pop()
+        sets = comb(t, j)
+        if sets > BLOCK_SETS:
+            # Split by the largest element: the sets without t - 1 come
+            # first in colex order.
+            stack.append((high | 1 << (t - 1), t - 1, j - 1))
+            stack.append((high, t - 1, j))
+        elif sets:
+            yield high, t, j
+
+
+@lru_cache(maxsize=256)
+def _planes(t: int, j: int) -> tuple[int, ...]:
+    """Membership planes of the j-subsets of {0..t-1} in colex order:
+    bit i of plane v says whether v is in the i-th subset."""
+    # members(s, i) = members(s-1, i) ++ (members(s-1, i-1) + {s-1}),
+    # filled in row by row over s for the cells on the way to (t, j).
+    row: dict[int, tuple[int, ...]] = {}
+    for s in range(t + 1):
+        prev, row = row, {}
+        for i in range(max(0, s - t + j), min(j, s) + 1):
+            if i == 0 or i == s:
+                row[i] = (int(i > 0),) * s
+                continue
+            shift = comb(s - 1, i)
+            row[i] = tuple(a | b << shift
+                           for a, b in zip(prev[i], prev[i - 1])) \
+                + (((1 << comb(s - 1, i - 1)) - 1) << shift,)
+    return row[j]
+
+
+def _unrank(high: int, t: int, j: int, index: int) -> int:
+    """Mask of the block's ``index``-th set."""
+    mask = high
+    for c in range(t - 1, -1, -1):
+        below = comb(c, j)
+        if index >= below:
+            mask |= 1 << c
+            index -= below
+            j -= 1
+    return mask
+
+
+def _block_pt(nbrs: tuple[tuple[int, ...], ...], high: int, t: int, j: int,
+              cap: Optional[int], least: bool) -> Optional[tuple[int, int]]:
+    """Standard propagation of every set in block (high, t, j) at once.
+
+    Returns (pt, index) for the first set by index among those of least
+    time (``least``) or among all that complete, or None when no set
+    completes within ``cap`` steps.
+    """
+    n = len(nbrs)
+    ones = (1 << comb(t, j)) - 1
+    filled = list(_planes(t, j)) + \
+        [ones if high >> v & 1 else 0 for v in range(t, n)]
+    done = reduce(and_, filled, ones)
+    history = [done]
+    while not (least and done) and (cap is None or len(history) <= cap):
+        unfilled = [ones ^ f for f in filled]
+        new = [0] * n
+        for u, around in enumerate(nbrs):
+            force = filled[u]
+            if not force:
+                continue
+            once = twice = 0
+            for w in around:
+                x = unfilled[w]
+                twice |= once & x
+                once |= x
+            # twice is a subset of once, so once ^ twice holds the sets
+            # where u sees exactly one unfilled neighbor.
+            force &= once ^ twice
+            if force:
+                for w in around:
+                    new[w] |= force & unfilled[w]
+        if not any(new):
+            break
+        filled = [f | x for f, x in zip(filled, new)]
+        done = reduce(and_, filled, ones)
+        history.append(done)
+    if not done:
+        return None
+    low = done & -done
+    pt = next(s for s, d in enumerate(history) if d & low)
+    return pt, low.bit_length() - 1
 
 
 def _sized_scan(rule: Rule, adj: tuple[int, ...], n: int, k: int,
@@ -286,13 +420,27 @@ def _sized_scan(rule: Rule, adj: tuple[int, ...], n: int, k: int,
     """Least cost ``slope * pt + offset`` over the size-k start sets that
     strictly beat ``incumbent``, as (cost, pt, colex-first mask), or None
     when no such set completes."""
-    floor = offset + slope * _least_pt(rule, n, k)
+    floor = offset + slope * _least_pt(rule, adj, n, k)
     if incumbent is not None and floor >= incumbent:
         return None
     # The cap admits only times whose cost strictly beats the incumbent.
     cap = None if incumbent is None or not slope else \
         (incumbent - offset - 1) // slope
     best = None
+    if rule is Rule.STANDARD:
+        # A block gives its least time, or under a flat cost line, where
+        # every completing set costs the floor, its first completing set.
+        nbrs = _neighbors(adj)
+        for block in _blocks(n, k):
+            hit = _block_pt(nbrs, *block, cap, slope > 0)
+            if hit is None:
+                continue
+            t, index = hit
+            best = (slope * t + offset, t, _unrank(*block, index))
+            if best[0] == floor:
+                break
+            cap = t - 1
+        return best
     for mask in _size_masks(n, k):
         t = _pt(rule, adj, n, mask, cap)
         if t is None or t == INFINITY:

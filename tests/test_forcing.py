@@ -1,7 +1,8 @@
 """The fast engine against a plain-set oracle, plus step semantics."""
 
+import random
 from itertools import combinations
-from math import ceil, inf
+from math import ceil, comb, inf
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,15 @@ from throttlekit.families import (
 from throttlekit.forcing import (
     INFINITY,
     Rule,
+    _blocks,
     _least_pt,
+    _planes,
     _psd_step,
     _pt,
+    _size_masks,
+    _sized_scan,
     _standard_step,
+    _unrank,
     forcing_number,
     graph_propagation_time,
     is_forcing_set,
@@ -98,14 +104,96 @@ def test_step_kernels_match_oracle():
 
 def test_zero_forcing_chain_floor():
     # The k forcing chains each grow by at most one vertex a step, so a
-    # completing size-k set needs at least ceil((n - k) / k) steps.
+    # completing size-k set needs at least ceil((n - k) / k) steps.  Under
+    # power domination only the at most k * maxdeg vertices the first
+    # round adds can start chains: ceil((n - k) / (k * maxdeg)) steps.
     for n in range(2, 7):
         for g in enumerate_graphs(n):
+            maxdeg = max(g.degree(v) for v in range(n))
             for k in range(1, n):
                 floor = ceil((n - k) / k)
-                assert _least_pt(Rule.STANDARD, n, k) == floor
+                assert _least_pt(Rule.STANDARD, g.adjacency, n, k) == floor
                 best = oracles.naive_kpt("zf", g, k)
                 assert best == inf or best >= floor, f"{g!r} at size {k}"
+                floor = ceil((n - k) / (k * maxdeg)) if maxdeg else 1
+                assert _least_pt(Rule.POWER_DOMINATION, g.adjacency, n, k) \
+                    == floor
+                best = oracles.naive_kpt("pd", g, k)
+                assert best == inf or best >= floor, f"{g!r} at size {k}"
+
+
+def per_mask_scan(rule, adj, n, k, slope, offset, incumbent=None):
+    """The sized scan one ``_pt`` call per mask: the reference that the
+    bit-sliced standard scan must reproduce."""
+    floor = offset + slope * _least_pt(rule, adj, n, k)
+    if incumbent is not None and floor >= incumbent:
+        return None
+    cap = None if incumbent is None or not slope else \
+        (incumbent - offset - 1) // slope
+    best = None
+    for mask in _size_masks(n, k):
+        t = _pt(rule, adj, n, mask, cap)
+        if t is None or t == INFINITY:
+            continue
+        best = (slope * t + offset, t, mask)
+        if best[0] == floor:
+            break
+        cap = t - 1
+    return best
+
+
+def test_blocks_list_the_size_masks_in_order():
+    # Unranking every index of every block, and reading every set off
+    # the membership planes, both give _size_masks exactly.
+    for n in range(15):
+        for k in range(n + 2):
+            unranked, sliced = [], []
+            for high, t, j in _blocks(n, k):
+                planes = _planes(t, j)
+                for i in range(comb(t, j)):
+                    unranked.append(_unrank(high, t, j, i))
+                    sliced.append(high | sum(1 << v for v in range(t)
+                                             if planes[v] >> i & 1))
+            expected = list(_size_masks(n, k))
+            assert unranked == expected, (n, k)
+            assert sliced == expected, (n, k)
+
+
+def test_block_scan_matches_per_mask_scan_to_order_7():
+    # Every graph to order 7, every size, the four cost lines of
+    # k_propagation_time, prodx, prodstar and forcing_number, and
+    # incumbents that leave the scan uncapped, tight and loose.
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            adj = g.adjacency
+            for k in range(n + 1):
+                for slope, offset in ((1, k), (k, k), (k, 0), (0, 0)):
+                    for incumbent in (None, 2, n, n + 1):
+                        args = (Rule.STANDARD, adj, n, k, slope, offset,
+                                incumbent)
+                        assert _sized_scan(*args) == per_mask_scan(*args), \
+                            f"{g!r} at size {k} on ({slope}, {offset}) " \
+                            f"under {incumbent}"
+
+
+def test_block_scan_matches_per_mask_scan_across_blocks():
+    # Sizes with more than one block, so the cap carries from block to
+    # block and the witness may sit in any of them.
+    rng = random.Random(8)
+    for n, p in ((15, 0.2), (15, 0.3), (16, 0.2), (16, 0.25)):
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < p])
+        for k in (5, 6, 8):
+            if comb(n, k) <= forcing.BLOCK_SETS:
+                continue
+            assert len(list(_blocks(n, k))) > 1
+            for slope, offset in ((1, k), (k, k), (k, 0), (0, 0)):
+                for incumbent in (None, n + 1):
+                    args = (Rule.STANDARD, g.adjacency, n, k, slope, offset,
+                            incumbent)
+                    assert _sized_scan(*args) == per_mask_scan(*args), \
+                        f"{g!r} at size {k} on ({slope}, {offset}) " \
+                        f"under {incumbent}"
 
 
 def test_pt_reaches_step_rules_through_module_names(monkeypatch):

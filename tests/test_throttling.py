@@ -17,7 +17,12 @@ from throttlekit.families import (
     path,
     star,
 )
-from throttlekit.forcing import INFINITY, Rule, propagation_time
+from throttlekit.forcing import (
+    INFINITY,
+    Rule,
+    k_propagation_time,
+    propagation_time,
+)
 from throttlekit.graph import Graph
 from throttlekit.throttling import (
     ThrottleKind,
@@ -275,24 +280,41 @@ def test_optimum_is_at_most_the_seeded_incumbent(rule):
 
 
 def test_long_cycles_and_paths_finish_in_few_propagations(monkeypatch):
-    calls = 0
+    # The standard scan runs blocks of start sets, not _pt, so both are
+    # counted; the floor stops a scan at the block that reaches it.
+    calls = blocks = 0
     pt = forcing._pt
+    block_pt = forcing._block_pt
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return pt(*args)
 
+    def counted_block(*args):
+        nonlocal blocks
+        blocks += 1
+        return block_pt(*args)
+
     monkeypatch.setattr(forcing, "_pt", counted)
+    monkeypatch.setattr(forcing, "_block_pt", counted_block)
     res = throttling_number(Rule.STANDARD, ThrottleKind.PRODUCT_INITIAL_COST,
                             cycle(40))
     assert (res.value, res.size, res.witness.members) == (40, 2, (0, 1))
     assert calls <= 1000
-    calls = 0
+    assert blocks <= 4
+    calls = blocks = 0
     res = throttling_number(Rule.STANDARD, ThrottleKind.PRODUCT_INITIAL_COST,
                             path(60))
     assert (res.value, res.size) == (60, 1)
     assert calls <= 1000
+    assert blocks <= 4
+    # Size 4 on C40 spans 67 blocks; the floor, 9 steps, is first met by
+    # two antipodal edges in the fourth.
+    blocks = 0
+    t, wit = k_propagation_time(Rule.STANDARD, cycle(40), 4)
+    assert (t, wit.members) == (9, (0, 1, 20, 21))
+    assert blocks == 4
 
 
 @given(graphs(min_n=1, max_n=6), st.sampled_from(RULES),
