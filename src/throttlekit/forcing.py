@@ -19,15 +19,22 @@ propagation by the incumbent cost and stop once it reaches the least
 cost possible at that size.  Witnesses are deterministic: the scan keeps
 the first set in colexicographic order that reaches its best cost.
 
-Under the standard rule the scan is bit-sliced (Biham, "A fast new DES
-implementation in software", FSE 1997).  It cuts the size-k sets into
-blocks of at most ``BLOCK_SETS``: a fixed mask of high vertices plus
-every j-subset of {0..t-1}.  Bit i of a vertex's plane int says whether
-the vertex is filled in the block's i-th set, so a few big-int
+Under the standard and PSD rules the scan is bit-sliced (Biham, "A fast
+new DES implementation in software", FSE 1997).  It cuts the size-k sets
+into blocks of at most ``BLOCK_SETS``: a fixed mask of high vertices
+plus every j-subset of {0..t-1}.  Bit i of a vertex's plane int says
+whether the vertex is filled in the block's i-th set, so a few big-int
 operations per edge run one step for every set in the block.  The first
 step at which the AND of all planes is non-zero gives the block's least
-time, and its lowest bit the colex-first set reaching it.  The PSD and
-power domination rules evaluate one set at a time with ``_pt``.
+time, and its lowest bit the colex-first set reaching it.  One loop,
+``_block_pt``, runs the blocks of both rules; only the step differs.
+The PSD step adds reach planes to the standard one: where a filled
+vertex sees two or more unfilled neighbors, the component of each of
+them is flooded along the edges of the unfilled part, in just the sets
+that need it, and the vertex forces its only neighbor in the flood.
+Flooding costs more than it saves on a few sets, so a PSD size with
+fewer than ``PSD_BLOCK_MIN_SETS`` sets, and every power domination
+size, is scanned one set at a time with ``_pt``.
 
 Two counting bounds make the scan skip work:
 
@@ -52,14 +59,17 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb
 from operator import and_
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .graph import Graph, VertexSet, bits, mask_components
 
 INFINITY = float("inf")
 
-# Start sets per block of the bit-sliced standard scan.
+# Start sets per block of the bit-sliced scan.
 BLOCK_SETS = 4096
+# A PSD scan of fewer size-k sets than this runs set by set through _pt:
+# flooding the components of a few sets costs more than walking them.
+PSD_BLOCK_MIN_SETS = 80
 
 Time = Union[int, float]
 
@@ -370,9 +380,96 @@ def _unrank(high: int, t: int, j: int, index: int) -> int:
     return mask
 
 
-def _block_pt(nbrs: tuple[tuple[int, ...], ...], high: int, t: int, j: int,
+def _block_standard_step(nbrs: tuple[tuple[int, ...], ...],
+                         filled: list[int], unfilled: list[int],
+                         split: Optional[list[int]] = None) -> list[int]:
+    """One standard step for every set of a block, as planes of the newly
+    filled vertices.  ``split``, when given, receives per vertex the sets
+    in which it is filled and sees two or more unfilled neighbors."""
+    new = [0] * len(nbrs)
+    for u, around in enumerate(nbrs):
+        force = filled[u]
+        if not force:
+            continue
+        once = twice = 0
+        for w in around:
+            x = unfilled[w]
+            twice |= once & x
+            once |= x
+        if split is not None:
+            split[u] = force & twice
+        # twice is a subset of once, so once ^ twice holds the sets
+        # where u sees exactly one unfilled neighbor.
+        force &= once ^ twice
+        if force:
+            for w in around:
+                new[w] |= force & unfilled[w]
+    return new
+
+
+def _block_psd_step(nbrs: tuple[tuple[int, ...], ...],
+                    filled: list[int], unfilled: list[int]) -> list[int]:
+    """One PSD step for every set of a block.
+
+    The standard step covers every filled vertex with one unfilled
+    neighbor.  A vertex split between two or more is judged per component
+    of the unfilled part: in each set, the component of each unfilled
+    neighbor of a split vertex is flooded once, from the first such vertex
+    it holds, and a split vertex forces its only neighbor in the flood.
+    """
+    n = len(nbrs)
+    split = [0] * n
+    new = _block_standard_step(nbrs, filled, unfilled, split)
+    if not any(split):
+        return new
+    flooded = [0] * n
+    for r, around in enumerate(nbrs):
+        source = 0
+        for u in around:
+            source |= split[u]
+        source &= unfilled[r] & ~flooded[r]
+        if not source:
+            continue
+        # comp[v]: the sets of source in which v is in r's component;
+        # front holds the bits each vertex gained in the last round.
+        comp = [0] * n
+        comp[r] = source
+        front = {r: source}
+        while front:
+            reached: dict[int, int] = {}
+            for x, gained in front.items():
+                for v in nbrs[x]:
+                    reached[v] = reached.get(v, 0) | gained
+            front = {}
+            for v, gained in reached.items():
+                gained &= unfilled[v] & ~comp[v]
+                if gained:
+                    comp[v] |= gained
+                    front[v] = gained
+        for v, c in enumerate(comp):
+            flooded[v] |= c
+        for u, around in enumerate(nbrs):
+            force = split[u] & source
+            if not force:
+                continue
+            once = twice = 0
+            for w in around:
+                x = comp[w]
+                twice |= once & x
+                once |= x
+            force &= once ^ twice
+            if force:
+                for w in around:
+                    new[w] |= force & comp[w]
+    return new
+
+
+def _block_pt(step: Callable[..., list[int]],
+              nbrs: tuple[tuple[int, ...], ...], high: int, t: int, j: int,
               cap: Optional[int], least: bool) -> Optional[tuple[int, int]]:
-    """Standard propagation of every set in block (high, t, j) at once.
+    """Propagation of every set in block (high, t, j) at once, ``step``
+    (``_block_standard_step`` or ``_block_psd_step``) taking one step
+    for all of them.
 
     Returns (pt, index) for the first set by index among those of least
     time (``least``) or among all that complete, or None when no set
@@ -385,23 +482,7 @@ def _block_pt(nbrs: tuple[tuple[int, ...], ...], high: int, t: int, j: int,
     done = reduce(and_, filled, ones)
     history = [done]
     while not (least and done) and (cap is None or len(history) <= cap):
-        unfilled = [ones ^ f for f in filled]
-        new = [0] * n
-        for u, around in enumerate(nbrs):
-            force = filled[u]
-            if not force:
-                continue
-            once = twice = 0
-            for w in around:
-                x = unfilled[w]
-                twice |= once & x
-                once |= x
-            # twice is a subset of once, so once ^ twice holds the sets
-            # where u sees exactly one unfilled neighbor.
-            force &= once ^ twice
-            if force:
-                for w in around:
-                    new[w] |= force & unfilled[w]
+        new = step(nbrs, filled, [ones ^ f for f in filled])
         if not any(new):
             break
         filled = [f | x for f, x in zip(filled, new)]
@@ -427,12 +508,15 @@ def _sized_scan(rule: Rule, adj: tuple[int, ...], n: int, k: int,
     cap = None if incumbent is None or not slope else \
         (incumbent - offset - 1) // slope
     best = None
-    if rule is Rule.STANDARD:
+    if rule is Rule.STANDARD or (
+            rule is Rule.PSD and comb(n, k) >= PSD_BLOCK_MIN_SETS):
+        step = _block_standard_step if rule is Rule.STANDARD \
+            else _block_psd_step
         # A block gives its least time, or under a flat cost line, where
         # every completing set costs the floor, its first completing set.
         nbrs = _neighbors(adj)
         for block in _blocks(n, k):
-            hit = _block_pt(nbrs, *block, cap, slope > 0)
+            hit = _block_pt(step, nbrs, *block, cap, slope > 0)
             if hit is None:
                 continue
             t, index = hit

@@ -20,6 +20,7 @@ from throttlekit.families import (
 from throttlekit.forcing import (
     INFINITY,
     Rule,
+    _block_psd_step,
     _blocks,
     _least_pt,
     _planes,
@@ -124,7 +125,7 @@ def test_zero_forcing_chain_floor():
 
 def per_mask_scan(rule, adj, n, k, slope, offset, incumbent=None):
     """The sized scan one ``_pt`` call per mask: the reference that the
-    bit-sliced standard scan must reproduce."""
+    bit-sliced scans must reproduce."""
     floor = offset + slope * _least_pt(rule, adj, n, k)
     if incumbent is not None and floor >= incumbent:
         return None
@@ -140,6 +141,11 @@ def per_mask_scan(rule, adj, n, k, slope, offset, incumbent=None):
             break
         cap = t - 1
     return best
+
+
+def random_graph(n, p, rng):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p])
 
 
 def test_blocks_list_the_size_masks_in_order():
@@ -159,41 +165,92 @@ def test_blocks_list_the_size_masks_in_order():
             assert sliced == expected, (n, k)
 
 
-def test_block_scan_matches_per_mask_scan_to_order_7():
+def test_psd_block_step_matches_psd_step_to_order_6():
+    # One block step over the planes of all size-k sets of every graph to
+    # order 6, so every filled mask, against the per-mask step and the
+    # oracle.  Graphs whose unfilled part splits into several components
+    # catch a flood that leaks from one component into another.
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            adj, nbrs = g.adjacency, oracles.adjacency_sets(g)
+            neighbors = tuple(tuple(sorted(nbrs[v])) for v in range(n))
+            for k in range(n + 1):
+                ones = (1 << comb(n, k)) - 1
+                filled = list(_planes(n, k))
+                new = _block_psd_step(neighbors, filled,
+                                      [ones ^ f for f in filled])
+                for i, mask in enumerate(_size_masks(n, k)):
+                    got = sum(1 << v for v in range(n) if new[v] >> i & 1)
+                    members = {v for v in range(n) if mask >> v & 1}
+                    assert got == _psd_step(adj, mask, g.full_mask), \
+                        f"{g!r} from {sorted(members)}"
+                    assert got == sum(1 << v for v in oracles.psd_step(
+                        nbrs, n, members)), f"{g!r} from {sorted(members)}"
+
+
+@pytest.mark.parametrize("rule", [Rule.STANDARD, Rule.PSD])
+def test_block_scan_matches_per_mask_scan_to_order_7(rule, monkeypatch):
     # Every graph to order 7, every size, the four cost lines of
     # k_propagation_time, prodx, prodstar and forcing_number, and
-    # incumbents that leave the scan uncapped, tight and loose.
+    # incumbents that leave the scan uncapped, tight and loose.  A PSD
+    # scan this small would run set by set, so every size is made to run
+    # in blocks.
+    monkeypatch.setattr(forcing, "PSD_BLOCK_MIN_SETS", 0)
     for n in range(1, 8):
         for g in enumerate_graphs(n):
             adj = g.adjacency
             for k in range(n + 1):
                 for slope, offset in ((1, k), (k, k), (k, 0), (0, 0)):
                     for incumbent in (None, 2, n, n + 1):
-                        args = (Rule.STANDARD, adj, n, k, slope, offset,
-                                incumbent)
+                        args = (rule, adj, n, k, slope, offset, incumbent)
                         assert _sized_scan(*args) == per_mask_scan(*args), \
                             f"{g!r} at size {k} on ({slope}, {offset}) " \
                             f"under {incumbent}"
 
 
-def test_block_scan_matches_per_mask_scan_across_blocks():
+@pytest.mark.parametrize("rule", [Rule.STANDARD, Rule.PSD])
+def test_block_scan_matches_per_mask_scan_across_blocks(rule):
     # Sizes with more than one block, so the cap carries from block to
     # block and the witness may sit in any of them.
     rng = random.Random(8)
     for n, p in ((15, 0.2), (15, 0.3), (16, 0.2), (16, 0.25)):
-        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                      if rng.random() < p])
+        g = random_graph(n, p, rng)
         for k in (5, 6, 8):
             if comb(n, k) <= forcing.BLOCK_SETS:
                 continue
             assert len(list(_blocks(n, k))) > 1
             for slope, offset in ((1, k), (k, k), (k, 0), (0, 0)):
                 for incumbent in (None, n + 1):
-                    args = (Rule.STANDARD, g.adjacency, n, k, slope, offset,
+                    args = (rule, g.adjacency, n, k, slope, offset,
                             incumbent)
                     assert _sized_scan(*args) == per_mask_scan(*args), \
                         f"{g!r} at size {k} on ({slope}, {offset}) " \
                         f"under {incumbent}"
+
+
+def test_psd_scan_runs_few_sets_one_by_one(monkeypatch):
+    # On 16 vertices the sizes with fewer than PSD_BLOCK_MIN_SETS sets go
+    # through _pt and the others, some of several blocks, through
+    # _block_pt; both give the per-mask scan's answers.
+    g = random_graph(16, 0.25, random.Random(9))
+    n, adj = g.n, g.adjacency
+    expected = [per_mask_scan(Rule.PSD, adj, n, k, 1, k) for k in range(n + 1)]
+    calls = {"_pt": 0, "_block_pt": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(forcing, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(forcing, name, counted)
+    most_blocks = 0
+    for k in range(n + 1):
+        calls.update(_pt=0, _block_pt=0)
+        assert _sized_scan(Rule.PSD, adj, n, k, 1, k) == expected[k], k
+        if comb(n, k) < forcing.PSD_BLOCK_MIN_SETS:
+            assert calls["_pt"] and not calls["_block_pt"], k
+        else:
+            assert calls["_block_pt"] and not calls["_pt"], k
+        most_blocks = max(most_blocks, calls["_block_pt"])
+    assert most_blocks > 1
 
 
 def test_pt_reaches_step_rules_through_module_names(monkeypatch):
