@@ -19,22 +19,24 @@ propagation by the incumbent cost and stop once it reaches the least
 cost possible at that size.  Witnesses are deterministic: the scan keeps
 the first set in colexicographic order that reaches its best cost.
 
-Under the standard and PSD rules the scan is bit-sliced (Biham, "A fast
-new DES implementation in software", FSE 1997).  It cuts the size-k sets
-into blocks of at most ``BLOCK_SETS``: a fixed mask of high vertices
-plus every j-subset of {0..t-1}.  Bit i of a vertex's plane int says
-whether the vertex is filled in the block's i-th set, so a few big-int
-operations per edge run one step for every set in the block.  The first
-step at which the AND of all planes is non-zero gives the block's least
-time, and its lowest bit the colex-first set reaching it.  One loop,
-``_block_pt``, runs the blocks of both rules; only the step differs.
-The PSD step adds reach planes to the standard one: where a filled
-vertex sees two or more unfilled neighbors, the component of each of
-them is flooded along the edges of the unfilled part, in just the sets
-that need it, and the vertex forces its only neighbor in the flood.
-Flooding costs more than it saves on a few sets, so a PSD size with
-fewer than ``PSD_BLOCK_MIN_SETS`` sets, and every power domination
-size, is scanned one set at a time with ``_pt``.
+All three rules scan bit-sliced (Biham, "A fast new DES implementation
+in software", FSE 1997).  The scan cuts the size-k sets into blocks of
+at most ``BLOCK_SETS``: a fixed mask of high vertices plus every
+j-subset of {0..t-1}.  Bit i of a vertex's plane int says whether the
+vertex is filled in the block's i-th set, so a few big-int operations
+per edge run one step for every set in the block.  The first step at
+which the AND of all planes is non-zero gives the block's least time,
+and its lowest bit the colex-first set reaching it.  One loop,
+``_block_pt``, runs the blocks of every rule; only the steps differ:
+each rule has a first block step and a later one, the same for the
+standard and PSD rules, and for power domination the domination step
+followed by the standard one.  The PSD step adds reach planes to the
+standard one: where a filled vertex sees two or more unfilled
+neighbors, the component of each of them is flooded along the edges of
+the unfilled part, in just the sets that need it, and the vertex forces
+its only neighbor in the flood.  A block costs more than it saves on a
+few sets, so a PSD or power domination size with fewer than
+``BLOCK_MIN_SETS`` sets is scanned one set at a time with ``_pt``.
 
 Two counting bounds make the scan skip work:
 
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb
 from operator import and_
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .graph import Graph, VertexSet, bits, mask_components
 
@@ -67,9 +69,9 @@ INFINITY = float("inf")
 
 # Start sets per block of the bit-sliced scan.
 BLOCK_SETS = 4096
-# A PSD scan of fewer size-k sets than this runs set by set through _pt:
-# flooding the components of a few sets costs more than walking them.
-PSD_BLOCK_MIN_SETS = 80
+# A PSD or power domination scan of fewer size-k sets than this runs set
+# by set through _pt: a block of a few sets costs more than walking them.
+BLOCK_MIN_SETS = 80
 
 Time = Union[int, float]
 
@@ -464,12 +466,32 @@ def _block_psd_step(nbrs: tuple[tuple[int, ...], ...],
     return new
 
 
-def _block_pt(step: Callable[..., list[int]],
-              nbrs: tuple[tuple[int, ...], ...], high: int, t: int, j: int,
-              cap: Optional[int], least: bool) -> Optional[tuple[int, int]]:
-    """Propagation of every set in block (high, t, j) at once, ``step``
-    (``_block_standard_step`` or ``_block_psd_step``) taking one step
-    for all of them.
+def _block_domination_step(nbrs: tuple[tuple[int, ...], ...],
+                           filled: list[int], unfilled: list[int]) -> list[int]:
+    """The domination step for every set of a block: each unfilled vertex
+    with a filled neighbor is filled."""
+    new = []
+    for v, around in enumerate(nbrs):
+        seen = 0
+        for w in around:
+            seen |= filled[w]
+        new.append(seen & unfilled[v])
+    return new
+
+
+# Each rule's block steps: (first step, every later step).
+_BLOCK_STEPS = {
+    Rule.STANDARD: (_block_standard_step, _block_standard_step),
+    Rule.PSD: (_block_psd_step, _block_psd_step),
+    Rule.POWER_DOMINATION: (_block_domination_step, _block_standard_step),
+}
+
+
+def _block_pt(rule: Rule, nbrs: tuple[tuple[int, ...], ...], high: int,
+              t: int, j: int, cap: Optional[int],
+              least: bool) -> Optional[tuple[int, int]]:
+    """Propagation of every set in block (high, t, j) at once, the rule's
+    block steps (``_BLOCK_STEPS``) taking one step for all of them.
 
     Returns (pt, index) for the first set by index among those of least
     time (``least``) or among all that complete, or None when no set
@@ -481,10 +503,12 @@ def _block_pt(step: Callable[..., list[int]],
         [ones if high >> v & 1 else 0 for v in range(t, n)]
     done = reduce(and_, filled, ones)
     history = [done]
+    step, later = _BLOCK_STEPS[rule]
     while not (least and done) and (cap is None or len(history) <= cap):
         new = step(nbrs, filled, [ones ^ f for f in filled])
         if not any(new):
             break
+        step = later
         filled = [f | x for f, x in zip(filled, new)]
         done = reduce(and_, filled, ones)
         history.append(done)
@@ -508,15 +532,12 @@ def _sized_scan(rule: Rule, adj: tuple[int, ...], n: int, k: int,
     cap = None if incumbent is None or not slope else \
         (incumbent - offset - 1) // slope
     best = None
-    if rule is Rule.STANDARD or (
-            rule is Rule.PSD and comb(n, k) >= PSD_BLOCK_MIN_SETS):
-        step = _block_standard_step if rule is Rule.STANDARD \
-            else _block_psd_step
+    if rule is Rule.STANDARD or comb(n, k) >= BLOCK_MIN_SETS:
         # A block gives its least time, or under a flat cost line, where
         # every completing set costs the floor, its first completing set.
         nbrs = _neighbors(adj)
         for block in _blocks(n, k):
-            hit = _block_pt(step, nbrs, *block, cap, slope > 0)
+            hit = _block_pt(rule, nbrs, *block, cap, slope > 0)
             if hit is None:
                 continue
             t, index = hit

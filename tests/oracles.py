@@ -57,6 +57,14 @@ def psd_step(nbrs, n, filled):
     return forced
 
 
+def domination_step(nbrs, filled):
+    # Every unfilled neighbor of a filled vertex.
+    reached = set()
+    for v in filled:
+        reached |= nbrs[v]
+    return reached - filled
+
+
 def naive_pt(rule, g, initial):
     """Rounds until everything is colored; inf when the process stalls."""
     nbrs = adjacency_sets(g)

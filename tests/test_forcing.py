@@ -20,8 +20,11 @@ from throttlekit.families import (
 from throttlekit.forcing import (
     INFINITY,
     Rule,
+    _block_domination_step,
     _block_psd_step,
+    _block_pt,
     _blocks,
+    _domination_step,
     _least_pt,
     _planes,
     _psd_step,
@@ -188,14 +191,57 @@ def test_psd_block_step_matches_psd_step_to_order_6():
                         nbrs, n, members)), f"{g!r} from {sorted(members)}"
 
 
-@pytest.mark.parametrize("rule", [Rule.STANDARD, Rule.PSD])
+def test_domination_block_run_matches_pt_to_order_6():
+    # One domination block step over the planes of all size-k sets of
+    # every graph to order 6, against the per-mask step and the oracle.
+    # Then power domination block runs, a domination round followed by
+    # standard steps: each set alone as a one-set block under every cap
+    # against _pt, and the whole size as one block against the least
+    # and the first completing time of the per-set runs.
+    rule = Rule.POWER_DOMINATION
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            adj, nbrs = g.adjacency, oracles.adjacency_sets(g)
+            neighbors = tuple(tuple(sorted(nbrs[v])) for v in range(n))
+            for k in range(n + 1):
+                ones = (1 << comb(n, k)) - 1
+                filled = list(_planes(n, k))
+                new = _block_domination_step(neighbors, filled,
+                                             [ones ^ f for f in filled])
+                masks = list(_size_masks(n, k))
+                for i, mask in enumerate(masks):
+                    got = sum(1 << v for v in range(n) if new[v] >> i & 1)
+                    members = {v for v in range(n) if mask >> v & 1}
+                    where = f"{g!r} from {sorted(members)}"
+                    assert got == _domination_step(adj, mask, g.full_mask), \
+                        where
+                    assert got == sum(1 << v for v in oracles.domination_step(
+                        nbrs, members)), where
+                    for cap in (None, *range(n + 1)):
+                        t = _pt(rule, adj, n, mask, cap)
+                        expected = None if t is None or t == INFINITY \
+                            else (t, 0)
+                        assert _block_pt(rule, neighbors, mask, 0, 0, cap,
+                                         True) == expected, f"{where} cap {cap}"
+                times = [_pt(rule, adj, n, mask) for mask in masks]
+                done = [i for i, t in enumerate(times) if t != INFINITY]
+                least = min(done, key=times.__getitem__, default=None)
+                for first, index in ((True, least),
+                                     (False, done[0] if done else None)):
+                    expected = None if index is None \
+                        else (times[index], index)
+                    assert _block_pt(rule, neighbors, 0, n, k, None,
+                                     first) == expected, f"{g!r} at size {k}"
+
+
+@pytest.mark.parametrize("rule", RULES)
 def test_block_scan_matches_per_mask_scan_to_order_7(rule, monkeypatch):
     # Every graph to order 7, every size, the four cost lines of
     # k_propagation_time, prodx, prodstar and forcing_number, and
-    # incumbents that leave the scan uncapped, tight and loose.  A PSD
-    # scan this small would run set by set, so every size is made to run
-    # in blocks.
-    monkeypatch.setattr(forcing, "PSD_BLOCK_MIN_SETS", 0)
+    # incumbents that leave the scan uncapped, tight and loose.  A PSD or
+    # power domination scan this small would run set by set, so every
+    # size is made to run in blocks.
+    monkeypatch.setattr(forcing, "BLOCK_MIN_SETS", 0)
     for n in range(1, 8):
         for g in enumerate_graphs(n):
             adj = g.adjacency
@@ -208,7 +254,7 @@ def test_block_scan_matches_per_mask_scan_to_order_7(rule, monkeypatch):
                             f"under {incumbent}"
 
 
-@pytest.mark.parametrize("rule", [Rule.STANDARD, Rule.PSD])
+@pytest.mark.parametrize("rule", RULES)
 def test_block_scan_matches_per_mask_scan_across_blocks(rule):
     # Sizes with more than one block, so the cap carries from block to
     # block and the witness may sit in any of them.
@@ -229,28 +275,40 @@ def test_block_scan_matches_per_mask_scan_across_blocks(rule):
 
 
 def test_psd_scan_runs_few_sets_one_by_one(monkeypatch):
-    # On 16 vertices the sizes with fewer than PSD_BLOCK_MIN_SETS sets go
-    # through _pt and the others, some of several blocks, through
-    # _block_pt; both give the per-mask scan's answers.
-    g = random_graph(16, 0.25, random.Random(9))
-    n, adj = g.n, g.adjacency
-    expected = [per_mask_scan(Rule.PSD, adj, n, k, 1, k) for k in range(n + 1)]
+    # On 16 vertices the PSD and power domination sizes with fewer than
+    # BLOCK_MIN_SETS sets go through _pt and the others through
+    # _block_pt; both give the per-mask scan's answers.  Under each rule
+    # some size spans several blocks: on the denser graph power
+    # domination meets its floor in the first block of every size.
+    graphs = [random_graph(16, 0.25, random.Random(9)),
+              random_graph(16, 0.12, random.Random(3))]
+    rules = (Rule.PSD, Rule.POWER_DOMINATION)
+    n = 16
+    expected = {(rule, i): [per_mask_scan(rule, g.adjacency, n, k, 1, k)
+                            for k in range(n + 1)]
+                for rule in rules for i, g in enumerate(graphs)}
     calls = {"_pt": 0, "_block_pt": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(forcing, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(forcing, name, counted)
-    most_blocks = 0
-    for k in range(n + 1):
-        calls.update(_pt=0, _block_pt=0)
-        assert _sized_scan(Rule.PSD, adj, n, k, 1, k) == expected[k], k
-        if comb(n, k) < forcing.PSD_BLOCK_MIN_SETS:
-            assert calls["_pt"] and not calls["_block_pt"], k
-        else:
-            assert calls["_block_pt"] and not calls["_pt"], k
-        most_blocks = max(most_blocks, calls["_block_pt"])
-    assert most_blocks > 1
+    for rule in rules:
+        most_blocks = 0
+        for i, g in enumerate(graphs):
+            for k in range(n + 1):
+                calls.update(_pt=0, _block_pt=0)
+                assert _sized_scan(rule, g.adjacency, n, k, 1, k) \
+                    == expected[rule, i][k], (rule, i, k)
+                if comb(n, k) < forcing.BLOCK_MIN_SETS:
+                    assert calls["_pt"] and not calls["_block_pt"], (rule, k)
+                else:
+                    assert calls["_block_pt"] and not calls["_pt"], (rule, k)
+                most_blocks = max(most_blocks, calls["_block_pt"])
+        assert most_blocks > 1, rule
+    # Both paths ran: the sizes of 1 and 16 sets one by one, and those
+    # of 560 sets or more in blocks.
+    assert 16 < forcing.BLOCK_MIN_SETS <= comb(n, 3)
 
 
 def test_pt_reaches_step_rules_through_module_names(monkeypatch):

@@ -1,7 +1,9 @@
 """Throttling optima against a plain-set oracle, plus witness contracts."""
 
+import json
 from itertools import combinations
 from math import ceil, inf
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -37,6 +39,9 @@ from throttlekit.throttling import (
 
 from . import oracles
 from .strategies import graphs
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"
+
 
 def all_graphs_up_to(nmax):
     return [g for n in range(1, nmax + 1) for g in enumerate_graphs(n)]
@@ -315,6 +320,25 @@ def test_long_cycles_and_paths_finish_in_few_propagations(monkeypatch):
     t, wit = k_propagation_time(Rule.STANDARD, cycle(40), 4)
     assert (t, wit.members) == (9, (0, 1, 20, 21))
     assert blocks == 4
+
+
+def test_throttling_matches_pool_oracle_at_orders_15_to_18():
+    # The benchmark's reference file holds an independent set-based
+    # oracle's (value, size, pt, witness) for 12 base graphs of order
+    # 15-18, each under 4 labelings.  One labeling of each base, under
+    # every rule and kind, runs the block scans at those orders.
+    pool = json.loads(POOL.read_text())
+    entries = [e for e in pool["graphs"] if e["id"].endswith("@1")]
+    assert len(entries) == 12
+    for entry in entries:
+        g = Graph(entry["n"], [tuple(e) for e in entry["edges"]])
+        assert len(entry["results"]) == len(RULES) * len(KINDS)
+        for key, expected in entry["results"].items():
+            rule, kind = key.split("/")
+            res = throttling_number(Rule(rule), ThrottleKind(kind), g)
+            got = [res.value, res.size, res.propagation_time,
+                   list(res.witness.members)]
+            assert got == expected, f"{entry['id']} {key}"
 
 
 @given(graphs(min_n=1, max_n=6), st.sampled_from(RULES),
