@@ -206,6 +206,21 @@ def test_failure_witnesses_are_pinned(monkeypatch):
         assert (record["computed"], record["witness"]) == expected, name
 
 
+def test_isolation_witness_is_pinned(monkeypatch):
+    # On the path P4 (graph6 "Ch") the one optimal dominating set is
+    # {1,2}.  With every other vertex offered as a private neighbor of
+    # each member, three of the nine removals isolate a pair.
+    monkeypatch.setattr(suites, "external_private_neighbors",
+                        lambda g, d, v: g.vertex_set(
+                            w for w in range(g.n) if w != v))
+    record = run_case(("pinned", "lemma2.3", {"graph6": "Ch"}))
+    assert (record["computed"], record["witness"]) == (
+        "3 violation(s)",
+        "D={1,2}, removing (2, 0) isolates {1,3}; "
+        "D={1,2}, removing (2, 1) isolates {0,3}; "
+        "D={1,2}, removing (3, 1) isolates {0,2}")
+
+
 def test_report_dict_shape():
     report = run_suite("universal-vertex", nmax=4, workers=1)
     d = report.to_dict()
