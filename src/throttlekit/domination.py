@@ -1,53 +1,50 @@
 """Minimum dominating sets and their refinements.
 
-Beyond the plain domination number this module ranks minimum dominating
-sets by the number of edges they induce and then by total degree, and it
-computes external private neighbors, the machinery behind the
-constructive throttling bounds.
+A dominating set is a power domination start set that fills every
+vertex in its first, closed-neighborhood round, so domination is tested
+with the propagation engine's domination step.  Beyond the plain
+domination number this module ranks minimum dominating sets by the
+number of edges they induce and then by total degree, and it computes
+external private neighbors, the machinery behind the constructive
+throttling bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
-from .forcing import _size_masks
+from .forcing import _domination_step, _size_masks
 from .graph import Graph, VertexSet, bits
-
-
-def _closed_reach(adj: tuple[int, ...], mask: int) -> int:
-    reach = mask
-    for v in bits(mask):
-        reach |= adj[v]
-    return reach
 
 
 def is_dominating_set(g: Graph, s: VertexSet) -> bool:
     """True when every vertex is in s or adjacent to a vertex of s."""
     if s.order != g.n:
         raise ValueError("vertex set order does not match the graph")
-    return _closed_reach(g.adjacency, s.mask) == g.full_mask
+    full = g.full_mask
+    return s.mask | _domination_step(g.adjacency, s.mask, full) == full
 
 
 def domination_number(g: Graph) -> tuple[int, VertexSet]:
     """Least size of a dominating set, with the first colex witness."""
-    adj = g.adjacency
-    full = g.full_mask
-    for k in range(g.n + 1):
-        for mask in _size_masks(g.n, k):
-            if _closed_reach(adj, mask) == full:
-                return k, VertexSet.from_mask(g.n, mask)
-    raise AssertionError("the full vertex set always dominates")
+    witness = next(minimum_dominating_sets(g))
+    return len(witness), witness
 
 
 def minimum_dominating_sets(g: Graph) -> Iterator[VertexSet]:
     """All minimum dominating sets, in colexicographic order."""
-    gamma, _ = domination_number(g)
     adj = g.adjacency
     full = g.full_mask
-    for mask in _size_masks(g.n, gamma):
-        if _closed_reach(adj, mask) == full:
-            yield VertexSet.from_mask(g.n, mask)
+    for k in range(g.n + 1):
+        found = False
+        for mask in _size_masks(g.n, k):
+            if mask | _domination_step(adj, mask, full) == full:
+                found = True
+                yield VertexSet.from_mask(g.n, mask)
+        if found:
+            return
+    raise AssertionError("the full vertex set always dominates")
 
 
 def _inner_edge_count(adj: tuple[int, ...], mask: int) -> int:
@@ -58,32 +55,28 @@ def _degree_sum(adj: tuple[int, ...], mask: int) -> int:
     return sum(adj[v].bit_count() for v in bits(mask))
 
 
-def edge_maximum_dominating_sets(g: Graph) -> list[VertexSet]:
-    """Minimum dominating sets inducing the most edges, colex order."""
-    adj = g.adjacency
+def _maxima(adj: tuple[int, ...], sets: Iterable[VertexSet],
+            measure: Callable[[tuple[int, ...], int], int]) -> list[VertexSet]:
+    # Every set of the largest measure, in the order given.
     best = -1
     out: list[VertexSet] = []
-    for d in minimum_dominating_sets(g):
-        inner = _inner_edge_count(adj, d.mask)
-        if inner > best:
-            best, out = inner, [d]
-        elif inner == best:
+    for d in sets:
+        value = measure(adj, d.mask)
+        if value > best:
+            best, out = value, [d]
+        elif value == best:
             out.append(d)
     return out
+
+
+def edge_maximum_dominating_sets(g: Graph) -> list[VertexSet]:
+    """Minimum dominating sets inducing the most edges, colex order."""
+    return _maxima(g.adjacency, minimum_dominating_sets(g), _inner_edge_count)
 
 
 def optimal_dominating_sets(g: Graph) -> list[VertexSet]:
     """Edge-maximum minimum dominating sets of largest total degree."""
-    adj = g.adjacency
-    best = -1
-    out: list[VertexSet] = []
-    for d in edge_maximum_dominating_sets(g):
-        total = _degree_sum(adj, d.mask)
-        if total > best:
-            best, out = total, [d]
-        elif total == best:
-            out.append(d)
-    return out
+    return _maxima(g.adjacency, edge_maximum_dominating_sets(g), _degree_sum)
 
 
 def external_private_neighbors(g: Graph, d: VertexSet, v: int) -> VertexSet:

@@ -33,7 +33,8 @@ standard and PSD rules, and for power domination the domination step
 followed by the standard one.  The PSD step adds reach planes to the
 standard one: where a filled vertex sees two or more unfilled
 neighbors, the component of each of them is flooded along the edges of
-the unfilled part, in just the sets that need it, and the vertex forces
+the unfilled part, in just the sets that need it, and the standard step
+runs again with the flood as the unfilled part, so the vertex forces
 its only neighbor in the flood.  A block costs more than it saves on a
 few sets, so a PSD or power domination size with fewer than
 ``BLOCK_MIN_SETS`` sets is scanned one set at a time with ``_pt``.
@@ -384,11 +385,14 @@ def _unrank(high: int, t: int, j: int, index: int) -> int:
 
 def _block_standard_step(nbrs: tuple[tuple[int, ...], ...],
                          filled: list[int], unfilled: list[int],
-                         split: Optional[list[int]] = None) -> list[int]:
+                         split: Optional[list[int]] = None,
+                         new: Optional[list[int]] = None) -> list[int]:
     """One standard step for every set of a block, as planes of the newly
     filled vertices.  ``split``, when given, receives per vertex the sets
-    in which it is filled and sees two or more unfilled neighbors."""
-    new = [0] * len(nbrs)
+    in which it is filled and sees two or more unfilled neighbors.  The
+    planes are added into ``new`` when it is given, and returned."""
+    if new is None:
+        new = [0] * len(nbrs)
     for u, around in enumerate(nbrs):
         force = filled[u]
         if not force:
@@ -417,7 +421,8 @@ def _block_psd_step(nbrs: tuple[tuple[int, ...], ...],
     neighbor.  A vertex split between two or more is judged per component
     of the unfilled part: in each set, the component of each unfilled
     neighbor of a split vertex is flooded once, from the first such vertex
-    it holds, and a split vertex forces its only neighbor in the flood.
+    it holds, and the split vertices take a standard step with the flood
+    as the unfilled part, so each forces its only neighbor in it.
     """
     n = len(nbrs)
     split = [0] * n
@@ -450,19 +455,8 @@ def _block_psd_step(nbrs: tuple[tuple[int, ...], ...],
                     front[v] = gained
         for v, c in enumerate(comp):
             flooded[v] |= c
-        for u, around in enumerate(nbrs):
-            force = split[u] & source
-            if not force:
-                continue
-            once = twice = 0
-            for w in around:
-                x = comp[w]
-                twice |= once & x
-                once |= x
-            force &= once ^ twice
-            if force:
-                for w in around:
-                    new[w] |= force & comp[w]
+        _block_standard_step(nbrs, [s & source for s in split], comp,
+                             new=new)
     return new
 
 

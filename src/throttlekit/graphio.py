@@ -86,12 +86,11 @@ def parse_graph6(text: str | bytes, *, base_offset: int = 0) -> Graph:
             offset=base_offset + len(data),
         )
     edges = []
-    bit_index = 0
     value = 0
     valid_bits = 0
     byte_pos = pos
     i, j = 0, 1
-    for k in range(nbits):
+    for _ in range(nbits):
         if valid_bits == 0:
             b = data[byte_pos]
             if not 63 <= b <= 126:
@@ -103,7 +102,6 @@ def parse_graph6(text: str | bytes, *, base_offset: int = 0) -> Graph:
         valid_bits -= 1
         if value >> valid_bits & 1:
             edges.append((i, j))
-        bit_index += 1
         i += 1
         if i == j:
             i, j = 0, j + 1

@@ -162,6 +162,30 @@ def naive_minimum_dominating_sets(g):
     return out
 
 
+def colex_key(vertices):
+    """Sort key putting vertex sets in colexicographic order."""
+    return sum(1 << v for v in vertices)
+
+
+def naive_optimal_dominating_sets(g):
+    """Minimum dominating sets of the most induced edges, then of those
+    the ones of largest degree sum, each list in colex order."""
+    nbrs = adjacency_sets(g)
+    sets = sorted(naive_minimum_dominating_sets(g), key=colex_key)
+
+    def edges(d):
+        return sum(len(nbrs[v] & d) for v in d) // 2
+
+    most = max(map(edges, sets))
+    edge_max = [d for d in sets if edges(d) == most]
+
+    def degrees(d):
+        return sum(len(nbrs[v]) for v in d)
+
+    most = max(map(degrees, edge_max))
+    return edge_max, [d for d in edge_max if degrees(d) == most]
+
+
 def naive_epn(g, dom, v):
     """Vertices outside dom adjacent to v and to nothing else in dom."""
     nbrs = adjacency_sets(g)

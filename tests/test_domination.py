@@ -45,19 +45,35 @@ def test_domination_number_known_values():
 
 
 def test_domination_number_matches_oracle_exhaustively():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for g in enumerate_graphs(n):
             k, wit = domination_number(g)
             assert k == oracles.naive_gamma(g)
             assert is_dominating_set(g, wit)
             assert len(wit) == k
+            # The witness is the colex-first minimum dominating set.
+            least = min(oracles.naive_minimum_dominating_sets(g),
+                        key=oracles.colex_key)
+            assert wit.mask == oracles.colex_key(least)
 
 
 def test_minimum_dominating_sets_are_complete():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for g in enumerate_graphs(n):
-            got = {frozenset(d.members) for d in minimum_dominating_sets(g)}
-            assert got == set(oracles.naive_minimum_dominating_sets(g))
+            masks = [d.mask for d in minimum_dominating_sets(g)]
+            assert all(a < b for a, b in zip(masks, masks[1:]))
+            want = oracles.naive_minimum_dominating_sets(g)
+            assert masks == sorted(map(oracles.colex_key, want))
+
+
+def test_ranked_dominating_sets_match_oracle_exhaustively():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            edge_max, optimal = oracles.naive_optimal_dominating_sets(g)
+            assert [d.mask for d in edge_maximum_dominating_sets(g)] == \
+                [oracles.colex_key(d) for d in edge_max]
+            assert [d.mask for d in optimal_dominating_sets(g)] == \
+                [oracles.colex_key(d) for d in optimal]
 
 
 def test_minimum_dominating_sets_on_path():
@@ -81,7 +97,7 @@ def test_optimal_sets_tiebreak_is_deterministic():
 
 
 def test_external_private_neighbors_matches_oracle():
-    for n in range(2, 6):
+    for n in range(2, 7):
         for g in enumerate_graphs(n):
             gamma, _ = domination_number(g)
             for d in minimum_dominating_sets(g):
