@@ -126,17 +126,90 @@ def test_unknown_suite_and_bad_scope():
         build_cases("ore", nmax=1)
 
 
+# Check text and computed value of each suite's record on the path P4
+# (graph6 "Ch"), keyed by (suite, payload entries beyond the graph).
+PINNED_CHECKS = {
+    ("ore", ()): (
+        "graphs without isolated vertices satisfy 2*gamma <= n", "gamma=2"),
+    ("lemma2.2", ()): (
+        "every edge-maximum minimum dominating set keeps an external "
+        "private neighbor per member", "ok"),
+    ("lemma2.3", ()): (
+        "removing one external private neighbor per member of an optimal "
+        "dominating set isolates nothing", "ok"),
+    ("thm2.4", ()): (
+        "power domination initial-cost product stays within 6n/7 and the "
+        "two-step certificate covers the exact value",
+        "certificate=3 (private-neighbor), exact=3"),
+    ("thm2.7", ()): (
+        "power domination sum throttling stays within floor(n/3)+2 and the "
+        "certificate covers the exact value",
+        "certificate=3 (private-neighbor), exact=3"),
+    ("lemma3.1", (("item", 1), ("rule", "zf"))): (
+        "propagation-time transfer, operation item 1, rule zf", "ok"),
+    ("lemma3.1", (("item", 5), ("rule", "pd"))): (
+        "propagation-time transfer, operation item 5, rule pd", "ok"),
+    ("prop3.2", ()): (
+        "product throttling moves by bounded factors under edge deletion, "
+        "vertex deletion, contraction, and subdivision", "ok"),
+    ("prop3.12", ()): (
+        "standard-rule no-cost product throttling moves by at most one "
+        "under local operations", "value=2"),
+    ("thm3.10", ()): (
+        "standard-rule no-cost product throttling equals the least one-step "
+        "completing size and is at least n/2", "value=2, one-step=2"),
+    ("thm3.11", ()): (
+        "half-order no-cost product throttling happens exactly on "
+        "matched-sum graphs", "value=2, matched=True"),
+    ("thzx", ()): (
+        "standard-rule initial-cost product throttling equals the order",
+        "value=4"),
+    ("remark1.1", (("rule", "zf"),)): (
+        "order bounds on all throttling kinds, rule zf",
+        "number=1, sum=3, x=4, star=2"),
+    ("remark1.1", (("rule", "psd"),)): (
+        "order bounds on all throttling kinds, rule psd",
+        "number=1, sum=3, x=3, star=2"),
+    ("universal-vertex", ()): (
+        "unit no-cost product, a universal vertex, and initial-cost product "
+        "two coincide under power domination", "ok"),
+    ("pt-monotone", (("rule", "pd"),)): (
+        "enlarging the initial set never slows propagation, rule pd", "ok"),
+    ("pt-monotone", (("rule", "zf"),)): (
+        "enlarging the initial set never slows propagation, rule zf", "ok"),
+    ("psd-step", ()): (
+        "the PSD step matches the standard step run inside each unfilled "
+        "component", "ok"),
+}
+
+
+def test_check_text_is_pinned():
+    assert {name for name, _ in PINNED_CHECKS} == set(SUITES)
+    for (name, extra), expected in PINNED_CHECKS.items():
+        record = run_case(("pinned", name, {"graph6": "Ch", **dict(extra)}))
+        assert record["passed"] is True, record
+        assert (record["check"], record["computed"]) == expected, name
+
+
 def test_run_case_survives_runner_crashes():
-    # A malformed payload under a real suite and an unknown suite name
-    # must each surface as a failing record, not a crash.
-    record = run_case(("boom", "ore", {"graph6": "@@@not graph6@@@"}))
-    assert record["passed"] is False
-    assert record["id"] == "boom"
-    assert record["witness"] and "KeyError" not in record["witness"]
-    record = run_case(("bang", "no-such-suite", {"graph6": "A_"}))
-    assert record["passed"] is False
-    assert record["id"] == "bang"
-    assert record["witness"].startswith("KeyError")
+    # A malformed payload under a real suite, an unknown suite name and
+    # an unknown transfer item must each surface as a failing record,
+    # not a crash, whose check is the suite name.
+    crashes = [
+        (("boom", "ore", {"graph6": "@@@"}),
+         "FormatError('graph6 record for order 1 needs 0 adjacency bytes, "
+         "found 2 (byte offset 3)')"),
+        (("bang", "no-such-suite", {"graph6": "A_"}),
+         "KeyError('no-such-suite')"),
+        (("item9", "lemma3.1", {"graph6": "Bg", "item": 9, "rule": "zf"}),
+         "ValueError('unknown transfer item 9')"),
+    ]
+    for (case_id, name, payload), error in crashes:
+        record = run_case((case_id, name, payload))
+        assert list(record.items()) == [
+            ("id", case_id), ("graph6", payload["graph6"]), ("check", name),
+            ("expected", "no violation"), ("computed", f"error: {error}"),
+            ("passed", False), ("witness", error)]
 
 
 # Witnesses of failing records on the path P3 (graph6 "Bg") when the
