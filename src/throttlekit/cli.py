@@ -51,6 +51,12 @@ def _json_time(value):
     return None if value == INFINITY else value
 
 
+def _print_json(command: str, **body) -> None:
+    print(json.dumps({"schema_version": SCHEMA_VERSION,
+                      "tool_version": TOOL_VERSION, "command": command,
+                      **body}, indent=2))
+
+
 def _parse_set(text: str, g: Graph, names: dict[str, int]) -> VertexSet:
     labels = []
     for token in text.split(","):
@@ -165,13 +171,7 @@ def _cmd_compute(args) -> int:
     records = [_compute_one(label, g, names, args)
                for label, g, names in _compute_sources(args)]
     if args.json:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": TOOL_VERSION,
-            "command": "compute",
-            "records": records,
-        }
-        print(json.dumps(out, indent=2))
+        _print_json("compute", records=records)
         return 0
     for record in records:
         if "trace" in record:
@@ -245,13 +245,7 @@ def _cmd_props(args) -> int:
                          seed=args.seed, workers=args.workers)
                for name in names]
     if args.json:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": TOOL_VERSION,
-            "command": "props",
-            "reports": [rep.to_dict() for rep in reports],
-        }
-        print(json.dumps(out, indent=2))
+        _print_json("props", reports=[rep.to_dict() for rep in reports])
     else:
         for rep in reports:
             _print_suite_report(rep)
@@ -261,18 +255,9 @@ def _cmd_props(args) -> int:
 def _cmd_ingest(args) -> int:
     graphs = list(load_graphs(args.path, args.format))
     if args.json:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": TOOL_VERSION,
-            "command": "ingest",
-            "count": len(graphs),
-            "graphs": [
-                {"graph6": format_graph6(g), "order": g.n,
-                 "edges": g.edge_count}
-                for g in graphs
-            ],
-        }
-        print(json.dumps(out, indent=2))
+        _print_json("ingest", count=len(graphs), graphs=[
+            {"graph6": format_graph6(g), "order": g.n, "edges": g.edge_count}
+            for g in graphs])
         return 0
     for g in graphs:
         print(format_graph6(g))
@@ -292,21 +277,14 @@ def _cmd_families(args) -> int:
             "named_edges": {k: list(v) for k, v in fx.edges.items()},
         })
     if args.json:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": TOOL_VERSION,
-            "command": "families",
-            "static": static,
-            "parametric": list(PARAMETRIC_FIXTURES),
-            "operations": {
-                "dv": "delete vertex, e.g. fig4_twin/dv:x",
-                "de": "delete edge, e.g. fig3_H1/de:e",
-                "ae": "add edge, e.g. matched_complete:3/ae:0-4",
-                "ce": "contract edge, e.g. fig5_K2corona/ce:e",
-                "se": "subdivide edge, e.g. fig7_subdiv/se:e",
-            },
-        }
-        print(json.dumps(out, indent=2))
+        _print_json("families", static=static,
+                    parametric=list(PARAMETRIC_FIXTURES), operations={
+                        "dv": "delete vertex, e.g. fig4_twin/dv:x",
+                        "de": "delete edge, e.g. fig3_H1/de:e",
+                        "ae": "add edge, e.g. matched_complete:3/ae:0-4",
+                        "ce": "contract edge, e.g. fig5_K2corona/ce:e",
+                        "se": "subdivide edge, e.g. fig7_subdiv/se:e",
+                    })
         return 0
     print("static fixtures:")
     for entry in static:

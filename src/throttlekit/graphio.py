@@ -8,7 +8,8 @@ name the byte offset (or line) that caused them.
 The edge-list format is one integer line holding the order, then one
 ``u v`` line per edge.  Blank lines and ``#`` comments are skipped, and
 several records may follow each other in one file: every bare integer
-line starts a new graph.
+line starts a new graph.  Orders above 258,047, the largest that graph6
+encodes, are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from typing import Iterable, Iterator, Optional
 from .graph import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
+# The largest order the four-byte N(n) field of format_graph6 encodes.
+_MAX_ORDER = 258047
 
 
 class FormatError(ValueError):
@@ -116,7 +119,7 @@ def format_graph6(g: Graph, *, header: bool = False) -> str:
     n = g.n
     if n <= 62:
         out = [n + 63]
-    elif n <= 258047:
+    elif n <= _MAX_ORDER:
         out = [126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63)]
     else:
         raise ValueError(f"order {n} too large for this graph6 encoder")
@@ -185,6 +188,9 @@ def read_edge_list(text: str) -> Iterator[Graph]:
                                   line=lineno) from None
             if order < 0:
                 raise FormatError(f"negative order {order}", line=lineno)
+            if order > _MAX_ORDER:
+                raise FormatError(f"order {order} exceeds the largest "
+                                  f"graph6 order {_MAX_ORDER}", line=lineno)
             order_line = lineno
             edges = []
         elif len(parts) == 2:

@@ -105,9 +105,14 @@ def run_suite(name: str, nmax: Optional[int] = None,
 
 def run_claims(filters: Optional[dict[str, str]] = None,
                workers: Optional[int] = None) -> Report:
-    """Evaluate the documented-value catalog, optionally filtered."""
+    """Evaluate the documented-value catalog, optionally filtered.
+
+    Filters that select no claim are an error, not an empty pass."""
     filters = filters or {}
     selected = claims_matching(filters)
+    if not selected:
+        wanted = ", ".join(f"{k}={v}" for k, v in filters.items())
+        raise ValueError(f"no claim is tagged with {wanted}")
     count = resolve_workers(workers)
     start = time.perf_counter()
     records = _pool_map(evaluate_claim, selected, count)

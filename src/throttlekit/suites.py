@@ -1,11 +1,18 @@
 """Property suites: documented facts checked over enumerated graphs.
 
 Each suite expands one statement into per-graph cases.  ``SUITES``
-declares every suite once: its runner, the graphs it covers and the
-payload variants per graph.  A case is a picklable
-``(case_id, suite_name, payload)`` triple so a worker pool can execute
-cases in any order; ``run_case`` looks the runner up by suite name, and
-payloads carry graphs as graph6 text.
+declares every suite once: its runner, its records' check text, the
+graphs it covers and the payload variants per graph.  A case is a
+picklable ``(case_id, suite_name, payload)`` triple so a worker pool can
+execute cases in any order; payloads carry graphs as graph6 text.
+
+``run_case`` is the one place that parses a case's graph and writes its
+record.  A runner is a pure check: given the graph and the payload, it
+returns its violation strings and the record's computed text, or None
+for the default "ok" / "N violation(s)".  The check text is formatted
+with the payload, so ``{rule}`` and ``{item}`` name the variant.  A
+runner that raises, an unknown suite and unparsable graph6 text each
+give a failing record whose check is the suite name.
 Failing records always include a witness precise enough to replay the
 violation with the ``compute`` command.
 """
@@ -43,6 +50,8 @@ from .throttling import (
 from .constructive import power_domination_certificate
 
 Case = tuple[str, str, dict]
+# A runner's violations and its computed text (None: "ok" or the count).
+Outcome = tuple[list[str], Optional[str]]
 
 _PD = Rule.POWER_DOMINATION
 _PSD = Rule.PSD
@@ -65,7 +74,7 @@ def _fmt(mask: int) -> str:
 
 
 def _record(case_id: str, g6: str, check: str, violations: list[str],
-            computed: Optional[str] = None) -> dict:
+            computed: Optional[str]) -> dict:
     passed = not violations
     if computed is None:
         computed = "ok" if passed else f"{len(violations)} violation(s)"
@@ -93,33 +102,26 @@ def _th(cache: dict, g: Graph, rule: Rule, kind: ThrottleKind) -> Optional[int]:
 
 # --- runners -----------------------------------------------------------
 
-def _run_half_order_domination(case_id: str, payload: dict) -> dict:
-    g = parse_graph6(payload["graph6"])
+def _run_half_order_domination(g: Graph, payload: dict) -> Outcome:
     gamma, d = domination_number(g)
     violations = []
     if 2 * gamma > g.n:
         violations.append(f"gamma={gamma} > n/2 with n={g.n}, "
                           f"minimum set {_fmt(d.mask)}")
-    return _record(case_id, payload["graph6"],
-                   "graphs without isolated vertices satisfy 2*gamma <= n",
-                   violations, computed=f"gamma={gamma}")
+    return violations, f"gamma={gamma}"
 
 
-def _run_edge_max_epn(case_id: str, payload: dict) -> dict:
-    g = parse_graph6(payload["graph6"])
+def _run_edge_max_epn(g: Graph, payload: dict) -> Outcome:
     violations = []
     for d in edge_maximum_dominating_sets(g):
         for v in d:
             if not external_private_neighbors(g, d, v):
                 violations.append(f"D={_fmt(d.mask)}: member {v} has no "
                                   "external private neighbor")
-    return _record(case_id, payload["graph6"],
-                   "every edge-maximum minimum dominating set keeps an "
-                   "external private neighbor per member", violations)
+    return violations, None
 
 
-def _run_epn_removal(case_id: str, payload: dict) -> dict:
-    g = parse_graph6(payload["graph6"])
+def _run_epn_removal(g: Graph, payload: dict) -> Outcome:
     violations = []
     adj = g.adjacency
     for d in optimal_dominating_sets(g):
@@ -141,13 +143,10 @@ def _run_epn_removal(case_id: str, payload: dict) -> dict:
             if iso:
                 violations.append(f"D={_fmt(d.mask)}, removing {choice} "
                                   f"isolates {_fmt(iso)}")
-    return _record(case_id, payload["graph6"],
-                   "removing one external private neighbor per member of an "
-                   "optimal dominating set isolates nothing", violations)
+    return violations, None
 
 
-def _run_product_six_sevenths(case_id: str, payload: dict) -> dict:
-    g = parse_graph6(payload["graph6"])
+def _run_product_six_sevenths(g: Graph, payload: dict) -> Outcome:
     n = g.n
     violations = []
     cert = power_domination_certificate(g, _X)
@@ -170,16 +169,11 @@ def _run_product_six_sevenths(case_id: str, payload: dict) -> dict:
         if 7 * gamma != 3 * n:
             violations.append(f"value 6n/7 attained but gamma={gamma} "
                               f"!= 3n/7, n={n}")
-    return _record(case_id, payload["graph6"],
-                   "power domination initial-cost product stays within 6n/7 "
-                   "and the two-step certificate covers the exact value",
-                   violations,
-                   computed=f"certificate={cert.value} ({cert.branch}), "
-                            f"exact={exact.value}")
+    return violations, (f"certificate={cert.value} ({cert.branch}), "
+                        f"exact={exact.value}")
 
 
-def _run_sum_third_plus_two(case_id: str, payload: dict) -> dict:
-    g = parse_graph6(payload["graph6"])
+def _run_sum_third_plus_two(g: Graph, payload: dict) -> Outcome:
     n = g.n
     bound = n // 3 + 2
     violations = []
@@ -194,12 +188,8 @@ def _run_sum_third_plus_two(case_id: str, payload: dict) -> dict:
     if exact.value > bound:
         violations.append(f"exhaustive value {exact.value} > {bound}, "
                           f"witness {_fmt(exact.witness.mask)}")
-    return _record(case_id, payload["graph6"],
-                   "power domination sum throttling stays within "
-                   "floor(n/3)+2 and the certificate covers the exact value",
-                   violations,
-                   computed=f"certificate={cert.value} ({cert.branch}), "
-                            f"exact={exact.value}")
+    return violations, (f"certificate={cert.value} ({cert.branch}), "
+                        f"exact={exact.value}")
 
 
 _DOING = {"de": "deleting ({u},{v})", "ce": "contracting ({u},{v})",
@@ -272,8 +262,7 @@ _TRANSFER = {
 }
 
 
-def _run_transfer(case_id: str, payload: dict) -> dict:
-    g = parse_graph6(payload["graph6"])
+def _run_transfer(g: Graph, payload: dict) -> Outcome:
     rule = Rule(payload["rule"])
     item = payload["item"]
     if item not in _TRANSFER:
@@ -296,9 +285,7 @@ def _run_transfer(case_id: str, payload: dict) -> dict:
             if best > pt:
                 violations.append(witness.format(site=site, B=_fmt(bmask),
                                                  best=best, pt=pt))
-    return _record(case_id, payload["graph6"],
-                   f"propagation-time transfer, operation item {item}, "
-                   f"rule {rule.value}", violations)
+    return violations, None
 
 
 # Prop. 3.2 as (operation, rule, kind, label, lo, hi): the throttling a
@@ -316,8 +303,7 @@ _PRODUCT_BOUNDS = (
 )
 
 
-def _run_product_stability(case_id: str, payload: dict) -> dict:
-    g = parse_graph6(payload["graph6"])
+def _run_product_stability(g: Graph, payload: dict) -> Outcome:
     cache: dict = {}
     ops = _operations(g)
     violations = []
@@ -337,10 +323,7 @@ def _run_product_stability(case_id: str, payload: dict) -> dict:
                 violations.append(f"{label} {rule.value} {kn}: "
                                   f"{_DOING[op].format(u=u, v=v)} gives "
                                   f"{b}, original {a}")
-    return _record(case_id, payload["graph6"],
-                   "product throttling moves by bounded factors under edge "
-                   "deletion, vertex deletion, contraction, and subdivision",
-                   violations)
+    return violations, None
 
 
 # Prop. 3.12 as operation -> (label, lo, hi): the standard-rule no-cost
@@ -350,8 +333,7 @@ _ONE_STEP_BOUNDS = {"dv": ("(1)", -1, 0), "de": ("(2)", -1, 1),
                     "ce": ("(3)", -1, 0), "se": ("(4)", 0, 1)}
 
 
-def _run_one_step_stability(case_id: str, payload: dict) -> dict:
-    g = parse_graph6(payload["graph6"])
+def _run_one_step_stability(g: Graph, payload: dict) -> Outcome:
     cache: dict = {}
     t = _th(cache, g, _ZF, _STAR)
     violations = []
@@ -362,14 +344,10 @@ def _run_one_step_stability(case_id: str, payload: dict) -> dict:
         if b is not None and not t + lo <= b <= t + hi:
             violations.append(f"{label} {_DOING[op].format(u=u, v=v)} gives "
                               f"{b}, allowed [{t + lo},{t + hi}]")
-    return _record(case_id, payload["graph6"],
-                   "standard-rule no-cost product throttling moves by at "
-                   "most one under local operations", violations,
-                   computed=f"value={t}")
+    return violations, f"value={t}"
 
 
-def _run_one_step_identity(case_id: str, payload: dict) -> dict:
-    g = parse_graph6(payload["graph6"])
+def _run_one_step_identity(g: Graph, payload: dict) -> Outcome:
     value = throttling_number(_ZF, _STAR, g).value
     k1, witness = one_step_forcing_number(g)
     violations = []
@@ -378,14 +356,10 @@ def _run_one_step_identity(case_id: str, payload: dict) -> dict:
                           f"least one-step size {k1} ({_fmt(witness.mask)})")
     if 2 * value < g.n:
         violations.append(f"value {value} below half the order {g.n}")
-    return _record(case_id, payload["graph6"],
-                   "standard-rule no-cost product throttling equals the "
-                   "least one-step completing size and is at least n/2",
-                   violations, computed=f"value={value}, one-step={k1}")
+    return violations, f"value={value}, one-step={k1}"
 
 
-def _run_half_order_characterization(case_id: str, payload: dict) -> dict:
-    g = parse_graph6(payload["graph6"])
+def _run_half_order_characterization(g: Graph, payload: dict) -> Outcome:
     value = throttling_number(_ZF, _STAR, g).value
     matched, half = is_matched_sum(g)
     violations = []
@@ -393,25 +367,18 @@ def _run_half_order_characterization(case_id: str, payload: dict) -> dict:
         detail = f"half {_fmt(half.mask)}" if half is not None else "no half"
         violations.append(f"value {value} on order {g.n} but matched-sum "
                           f"test says {matched} ({detail})")
-    return _record(case_id, payload["graph6"],
-                   "half-order no-cost product throttling happens exactly "
-                   "on matched-sum graphs", violations,
-                   computed=f"value={value}, matched={matched}")
+    return violations, f"value={value}, matched={matched}"
 
 
-def _run_product_equals_order(case_id: str, payload: dict) -> dict:
-    g = parse_graph6(payload["graph6"])
+def _run_product_equals_order(g: Graph, payload: dict) -> Outcome:
     value = throttling_number(_ZF, _X, g).value
     violations = []
     if value != g.n:
         violations.append(f"initial-cost product {value} != order {g.n}")
-    return _record(case_id, payload["graph6"],
-                   "standard-rule initial-cost product throttling equals "
-                   "the order", violations, computed=f"value={value}")
+    return violations, f"value={value}"
 
 
-def _run_bounds_chain(case_id: str, payload: dict) -> dict:
-    g = parse_graph6(payload["graph6"])
+def _run_bounds_chain(g: Graph, payload: dict) -> Outcome:
     rule = Rule(payload["rule"])
     n = g.n
     y, _ = forcing_number(rule, g)
@@ -428,15 +395,10 @@ def _run_bounds_chain(case_id: str, payload: dict) -> dict:
         violations.append(f"sum value {th_sum} outside [{y + 1},{n}]")
     if not 1 <= th_star <= n - 1:
         violations.append(f"no-cost product {th_star} outside [1,{n - 1}]")
-    return _record(case_id, payload["graph6"],
-                   f"order bounds on all throttling kinds, rule {rule.value}",
-                   violations,
-                   computed=f"number={y}, sum={th_sum}, x={th_x}, "
-                            f"star={th_star}")
+    return violations, f"number={y}, sum={th_sum}, x={th_x}, star={th_star}"
 
 
-def _run_universal_vertex(case_id: str, payload: dict) -> dict:
-    g = parse_graph6(payload["graph6"])
+def _run_universal_vertex(g: Graph, payload: dict) -> Outcome:
     star_one = throttling_number(_PD, _STAR, g).value == 1
     x_two = throttling_number(_PD, _X, g).value == 2
     universal = g.has_universal_vertex()
@@ -444,14 +406,10 @@ def _run_universal_vertex(case_id: str, payload: dict) -> dict:
     if not star_one == universal == x_two:
         violations.append(f"no-cost==1 is {star_one}, universal is "
                           f"{universal}, initial-cost==2 is {x_two}")
-    return _record(case_id, payload["graph6"],
-                   "unit no-cost product, a universal vertex, and "
-                   "initial-cost product two coincide under power "
-                   "domination", violations)
+    return violations, None
 
 
-def _run_pt_superset(case_id: str, payload: dict) -> dict:
-    g = parse_graph6(payload["graph6"])
+def _run_pt_superset(g: Graph, payload: dict) -> Outcome:
     rule = Rule(payload["rule"])
     n, adj, full = g.n, g.adjacency, g.full_mask
     violations = []
@@ -465,13 +423,10 @@ def _run_pt_superset(case_id: str, payload: dict) -> dict:
             if bigger > base:
                 violations.append(f"B={_fmt(bmask)} + vertex "
                                   f"{bit.bit_length() - 1}: {bigger} > {base}")
-    return _record(case_id, payload["graph6"],
-                   f"enlarging the initial set never slows propagation, "
-                   f"rule {rule.value}", violations)
+    return violations, None
 
 
-def _run_component_step(case_id: str, payload: dict) -> dict:
-    g = parse_graph6(payload["graph6"])
+def _run_component_step(g: Graph, payload: dict) -> Outcome:
     n, adj, full = g.n, g.adjacency, g.full_mask
     violations = []
     for bmask in range(1 << n):
@@ -485,9 +440,7 @@ def _run_component_step(case_id: str, payload: dict) -> dict:
         if direct != pieced:
             violations.append(f"B={_fmt(bmask)}: direct {_fmt(direct)}, "
                               f"per-component {_fmt(pieced)}")
-    return _record(case_id, payload["graph6"],
-                   "the PSD step matches the standard step run inside each "
-                   "unfilled component", violations)
+    return violations, None
 
 
 def _has_edge(g: Graph) -> bool:
@@ -508,6 +461,7 @@ _TRANSFER_VARIANTS = tuple(
 class SuiteSpec:
     """One suite: its runner and the graphs and payloads it runs on.
 
+    ``check`` is the records' check text, formatted with the payload.
     Cases cover the graphs of orders ``nmin..nmax`` (even orders only
     when ``even_only``), connected ones only when ``connected``, that
     pass ``keep``.  Each graph gives one case per variant, an id suffix
@@ -517,7 +471,8 @@ class SuiteSpec:
     name: str
     description: str
     default_nmax: int
-    runner: Callable[[str, dict], dict]
+    runner: Callable[[Graph, dict], Outcome]
+    check: str
     nmin: int = 1
     connected: bool = False
     keep: Optional[Callable[[Graph], bool]] = None
@@ -543,75 +498,101 @@ class SuiteSpec:
 SUITES: dict[str, SuiteSpec] = {spec.name: spec for spec in (
     SuiteSpec("ore", "Graphs without isolated vertices have dominating sets "
               "of size at most half the order.", 8, _run_half_order_domination,
+              "graphs without isolated vertices satisfy 2*gamma <= n",
               keep=_no_isolated),
     SuiteSpec("lemma2.2", "Edge-maximum minimum dominating sets keep an "
               "external private neighbor for every member (connected graphs).",
-              7, _run_edge_max_epn, nmin=2, connected=True),
+              7, _run_edge_max_epn,
+              "every edge-maximum minimum dominating set keeps an external "
+              "private neighbor per member", nmin=2, connected=True),
     SuiteSpec("lemma2.3", "Removing one external private neighbor per member "
               "of an optimal dominating set never isolates a vertex "
-              "(connected graphs).", 7, _run_epn_removal, nmin=3,
+              "(connected graphs).", 7, _run_epn_removal,
+              "removing one external private neighbor per member of an "
+              "optimal dominating set isolates nothing", nmin=3,
               connected=True),
     SuiteSpec("thm2.4", "Power domination initial-cost product throttling is "
               "at most 6n/7 on connected graphs, witnessed by a two-step "
               "certificate, with extremal graphs dominating at exactly 3n/7.",
-              8, _run_product_six_sevenths, nmin=3, connected=True),
+              8, _run_product_six_sevenths,
+              "power domination initial-cost product stays within 6n/7 and "
+              "the two-step certificate covers the exact value", nmin=3,
+              connected=True),
     SuiteSpec("thm2.7", "Power domination sum throttling is at most "
               "floor(n/3)+2 on connected graphs, witnessed by a certificate.",
-              8, _run_sum_third_plus_two, connected=True),
+              8, _run_sum_third_plus_two,
+              "power domination sum throttling stays within floor(n/3)+2 and "
+              "the certificate covers the exact value", connected=True),
     SuiteSpec("lemma3.1", "Completing sets transfer across edge deletion, "
               "vertex deletion, contraction, and subdivision with controlled "
               "growth, for all three rules (items 1-7, exhaustive over "
-              "initial sets).", 6, _run_transfer, nmin=2, connected=True,
-              variants=_TRANSFER_VARIANTS),
+              "initial sets).", 6, _run_transfer,
+              "propagation-time transfer, operation item {item}, rule {rule}",
+              nmin=2, connected=True, variants=_TRANSFER_VARIANTS),
     SuiteSpec("prop3.2", "Product throttling under power domination and PSD "
               "moves by a factor of at most two (three halves for the PSD "
               "initial-cost subdivision) under local operations.", 7,
-              _run_product_stability, nmin=2, connected=True),
+              _run_product_stability,
+              "product throttling moves by bounded factors under edge "
+              "deletion, vertex deletion, contraction, and subdivision",
+              nmin=2, connected=True),
     SuiteSpec("prop3.12", "Standard-rule no-cost product throttling moves by "
               "at most one under local operations.", 7,
-              _run_one_step_stability, nmin=2, keep=_has_edge),
+              _run_one_step_stability,
+              "standard-rule no-cost product throttling moves by at most one "
+              "under local operations", nmin=2, keep=_has_edge),
     SuiteSpec("thm3.10", "Standard-rule no-cost product throttling equals the "
               "least size completing in one step and is at least half the "
               "order (connected graphs with an edge).", 7,
-              _run_one_step_identity, nmin=2, connected=True),
+              _run_one_step_identity,
+              "standard-rule no-cost product throttling equals the least "
+              "one-step completing size and is at least n/2", nmin=2,
+              connected=True),
     SuiteSpec("thm3.11", "Connected even-order graphs reach half-order "
               "no-cost product throttling exactly when they are matched-sum "
-              "graphs.", 8, _run_half_order_characterization, nmin=2,
-              connected=True, even_only=True),
+              "graphs.", 8, _run_half_order_characterization,
+              "half-order no-cost product throttling happens exactly on "
+              "matched-sum graphs", nmin=2, connected=True, even_only=True),
     SuiteSpec("thzx", "Standard-rule initial-cost product throttling equals "
-              "the order on every graph.", 7, _run_product_equals_order),
+              "the order on every graph.", 7, _run_product_equals_order,
+              "standard-rule initial-cost product throttling equals the "
+              "order"),
     SuiteSpec("remark1.1", "Completing numbers and all three throttling kinds "
               "sit inside their order bounds on every graph with an edge, for "
-              "all rules.", 7, _run_bounds_chain, nmin=2, keep=_has_edge,
-              variants=_RULE_VARIANTS),
+              "all rules.", 7, _run_bounds_chain,
+              "order bounds on all throttling kinds, rule {rule}", nmin=2,
+              keep=_has_edge, variants=_RULE_VARIANTS),
     SuiteSpec("universal-vertex", "Unit no-cost product, a universal vertex, "
               "and initial-cost product two coincide under power domination "
-              "(graphs with an edge).", 7, _run_universal_vertex, nmin=2,
+              "(graphs with an edge).", 7, _run_universal_vertex,
+              "unit no-cost product, a universal vertex, and initial-cost "
+              "product two coincide under power domination", nmin=2,
               keep=_has_edge),
     SuiteSpec("pt-monotone", "Adding a vertex to the initial set never "
               "increases propagation time, for all rules.", 6,
-              _run_pt_superset, variants=_RULE_VARIANTS),
+              _run_pt_superset,
+              "enlarging the initial set never slows propagation, rule {rule}",
+              variants=_RULE_VARIANTS),
     SuiteSpec("psd-step", "The PSD step agrees with the standard step applied "
               "inside each component of the unfilled subgraph.", 5,
-              _run_component_step),
+              _run_component_step,
+              "the PSD step matches the standard step run inside each "
+              "unfilled component"),
 )}
 
 
 def run_case(case: Case) -> dict:
     """Execute one case; unexpected errors become failing records."""
     case_id, name, payload = case
+    g6 = payload.get("graph6", "")
     try:
-        return SUITES[name].runner(case_id, payload)
+        spec = SUITES[name]
+        violations, computed = spec.runner(parse_graph6(payload["graph6"]),
+                                           payload)
     except Exception as exc:  # pragma: no cover - indicates a bug
-        return {
-            "id": case_id,
-            "graph6": payload.get("graph6", ""),
-            "check": name,
-            "expected": "no violation",
-            "computed": f"error: {exc!r}",
-            "passed": False,
-            "witness": repr(exc),
-        }
+        return _record(case_id, g6, name, [repr(exc)], f"error: {exc!r}")
+    return _record(case_id, g6, spec.check.format(**payload), violations,
+                   computed)
 
 
 def build_cases(name: str, nmax: Optional[int] = None,

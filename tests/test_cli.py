@@ -226,6 +226,14 @@ def test_props_rejects_scope_without_cases(capsys, argv, message):
     assert out == ""
 
 
+def test_paper_suite_rejects_filters_without_claims(capsys):
+    code, out, err = run(capsys, "paper-suite", "--filter", "famly=path",
+                         "--workers", "1")
+    assert code == 2
+    assert "famly=path" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", [
     ("paper-suite",),
     ("props", "--suite", "psd-step", "--nmax", "3"),
@@ -262,6 +270,15 @@ def test_ingest_bad_file_reports_line(capsys, tmp_path):
     code, _, err = run(capsys, "ingest", str(f))
     assert code == 2
     assert "error:" in err
+
+
+def test_ingest_refuses_absurd_edge_list_order(capsys, tmp_path):
+    f = tmp_path / "huge.edges"
+    f.write_text("10000000000000\n0 1\n")
+    code, out, err = run(capsys, "ingest", str(f), "--format", "edgelist")
+    assert code == 2
+    assert "(line 1)" in err
+    assert out == ""
 
 
 def test_ingest_missing_file(capsys):

@@ -114,6 +114,15 @@ def test_edge_list_rejects_malformed_lines():
         list(read_edge_list("x\n"))
 
 
+def test_edge_list_refuses_orders_graph6_cannot_encode():
+    assert [g.n for g in read_edge_list("258047\n0 1\n")] == [258047]
+    for order in (258048, 10 ** 13):
+        # Refused on its own line, before a graph of that order is built.
+        with pytest.raises(FormatError, match="graph6 order 258047") as exc:
+            list(read_edge_list(f"2\n0 1\n{order}\n0 1\n"))
+        assert exc.value.line == 3
+
+
 def test_load_graphs_both_formats(tmp_path):
     g = Graph(4, [(0, 1), (2, 3)])
     p6 = tmp_path / "in.g6"
