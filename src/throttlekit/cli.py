@@ -195,8 +195,10 @@ def _cmd_paper_suite(args) -> int:
     for item in args.filter or []:
         if "=" not in item:
             raise ValueError(f"--filter expects key=value, got {item!r}")
-        key, _, val = item.partition("=")
-        filters[key.strip()] = val.strip()
+        key, val = (part.strip() for part in item.split("=", 1))
+        if filters.setdefault(key, val) != val:
+            raise ValueError(f"--filter {key}={filters[key]} and "
+                             f"{key}={val} select no claims")
     report = run_claims(filters, workers=args.workers)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))

@@ -12,12 +12,13 @@ steps until nothing new is colored.  They differ only in the step rule:
 Times are exact small integers; a stalled process has time INFINITY.
 
 Every optimizer over start sets (forcing numbers, fastest times at a
-size, throttling numbers, one-step forcing) runs through one sized scan,
-``_sized_scan``.  At a fixed size k the cost of a set is a line in its
-propagation time, ``slope * pt + offset``, so the scan can cap each
-propagation by the incumbent cost and stop once it reaches the least
-cost possible at that size.  Witnesses are deterministic: the scan keeps
-the first set in colexicographic order that reaches its best cost.
+size, throttling numbers, one-step forcing) is one walk over start sizes,
+``_cheapest``, running ``_sized_scan`` at each size.  At a fixed size k
+the cost of a set is a line in its propagation time, ``slope * pt +
+offset``, so the scan can cap each propagation by the incumbent cost,
+which each hit lowers, and stop at the least cost possible at that size.
+Witnesses are deterministic: a hit must strictly improve, so ties go to
+the least size, then to the colexicographically first set.
 
 All three rules scan bit-sliced (Biham, "A fast new DES implementation
 in software", FSE 1997).  The scan cuts the size-k sets into blocks of
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb
 from operator import and_
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .graph import Graph, VertexSet, bits, mask_components
 
@@ -551,17 +552,32 @@ def _sized_scan(rule: Rule, adj: tuple[int, ...], n: int, k: int,
     return best
 
 
+def _cheapest(rule: Rule, adj: tuple[int, ...], n: int, sizes: Iterable[int],
+              line: Callable[[int], tuple[int, int]],
+              incumbent: Optional[int] = None) -> Optional[tuple[int, ...]]:
+    """Least cost ``slope * pt + offset``, with (slope, offset) =
+    ``line(k)`` at size k, over the sets of the given sizes that strictly
+    beat ``incumbent``: (cost, pt, colex-first mask, least size) or None."""
+    best = None
+    for k in sizes:
+        hit = _sized_scan(rule, adj, n, k, *line(k), incumbent)
+        if hit is not None:
+            best = (*hit, k)
+            incumbent = hit[0]
+    return best
+
+
 def forcing_number(rule: Rule, g: Graph) -> tuple[int, VertexSet]:
     """Least size of a set that colors everything, with the first witness
     in size order then colexicographic order."""
     if g.n == 0:
         return 0, g.vertex_set(())
-    for k in range(1, g.n + 1):
-        # A flat cost line makes any completing set reach the floor.
-        hit = _sized_scan(rule, g.adjacency, g.n, k, 0, 0)
-        if hit is not None:
-            return k, VertexSet.from_mask(g.n, hit[2])
-    raise AssertionError("the full vertex set always forces")
+    # Costing a set by its size makes the first completing set the best.
+    hit = _cheapest(rule, g.adjacency, g.n, range(1, g.n + 1),
+                    lambda k: (0, k))
+    if hit is None:
+        raise AssertionError("the full vertex set always forces")
+    return hit[3], VertexSet.from_mask(g.n, hit[2])
 
 
 def k_propagation_time(rule: Rule, g: Graph,
@@ -573,7 +589,7 @@ def k_propagation_time(rule: Rule, g: Graph,
     """
     if not 0 <= k <= g.n:
         raise ValueError(f"size must be between 0 and {g.n}, got {k}")
-    hit = _sized_scan(rule, g.adjacency, g.n, k, 1, 0)
+    hit = _cheapest(rule, g.adjacency, g.n, range(k, k + 1), lambda _: (1, 0))
     if hit is None:
         return INFINITY, None
     return hit[1], VertexSet.from_mask(g.n, hit[2])

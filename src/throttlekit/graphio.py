@@ -67,7 +67,7 @@ def _parse_graph6_order(data: bytes, pos: int) -> tuple[int, int]:
     return n, start + count
 
 
-def parse_graph6(text: str | bytes, *, base_offset: int = 0) -> Graph:
+def parse_graph6(text: str | bytes) -> Graph:
     """Decode a single graph6 record, with or without its header."""
     if isinstance(text, str):
         try:
@@ -76,9 +76,10 @@ def parse_graph6(text: str | bytes, *, base_offset: int = 0) -> Graph:
             raise FormatError(f"graph6 data is not ascii: {exc}") from None
     else:
         data = text.strip()
+    base_offset = 0
     if data.startswith(GRAPH6_HEADER.encode("ascii")):
         data = data[len(GRAPH6_HEADER):]
-        base_offset += len(GRAPH6_HEADER)
+        base_offset = len(GRAPH6_HEADER)
     n, pos = _parse_graph6_order(data, 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6

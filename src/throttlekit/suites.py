@@ -451,6 +451,10 @@ def _no_isolated(g: Graph) -> bool:
     return not g.isolated_vertices()
 
 
+def _even_order(g: Graph) -> bool:
+    return g.n % 2 == 0
+
+
 _RULE_VARIANTS = tuple((f"-{r}", {"rule": r}) for r in ("zf", "psd", "pd"))
 _TRANSFER_VARIANTS = tuple(
     (f"-i{item}-{r}", {"rule": r, "item": item}) for item in _TRANSFER
@@ -462,10 +466,10 @@ class SuiteSpec:
     """One suite: its runner and the graphs and payloads it runs on.
 
     ``check`` is the records' check text, formatted with the payload.
-    Cases cover the graphs of orders ``nmin..nmax`` (even orders only
-    when ``even_only``), connected ones only when ``connected``, that
-    pass ``keep``.  Each graph gives one case per variant, an id suffix
-    and the payload entries it adds to the graph6 text.
+    Cases cover the graphs of orders ``nmin..nmax``, connected ones only
+    when ``connected``, that pass ``keep``.  Each graph gives one case
+    per variant, an id suffix and the payload entries it adds to the
+    graph6 text.
     """
 
     name: str
@@ -476,14 +480,11 @@ class SuiteSpec:
     nmin: int = 1
     connected: bool = False
     keep: Optional[Callable[[Graph], bool]] = None
-    even_only: bool = False
     variants: tuple[tuple[str, dict], ...] = (("", {}),)
 
     def build(self, nmax: int) -> list[Case]:
         cases: list[Case] = []
         for n in range(self.nmin, nmax + 1):
-            if self.even_only and n % 2:
-                continue
             graphs = enumerate_graphs(n, connected_only=self.connected)
             for idx, g in enumerate(graphs):
                 if self.keep is not None and not self.keep(g):
@@ -552,7 +553,7 @@ SUITES: dict[str, SuiteSpec] = {spec.name: spec for spec in (
               "no-cost product throttling exactly when they are matched-sum "
               "graphs.", 8, _run_half_order_characterization,
               "half-order no-cost product throttling happens exactly on "
-              "matched-sum graphs", nmin=2, connected=True, even_only=True),
+              "matched-sum graphs", nmin=2, connected=True, keep=_even_order),
     SuiteSpec("thzx", "Standard-rule initial-cost product throttling equals "
               "the order on every graph.", 7, _run_product_equals_order,
               "standard-rule initial-cost product throttling equals the "

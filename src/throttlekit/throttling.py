@@ -8,35 +8,37 @@ Three cost functions over a start set B with propagation time pt:
 
 At a fixed size k each cost is a line in pt, ``slope * pt + offset``,
 with (slope, offset) = (1, k), (k, k) and (k, 0) respectively.  The
-optimizers hand that line to the sized scan in ``forcing``, which caps
-every propagation by the incumbent cost and stops at the least cost
-possible at that size.
+optimizers hand that line to the walk over start sizes in ``forcing``,
+``_cheapest``, whose sized scan caps every propagation by the incumbent
+cost and stops at the least cost possible at that size.
 
 The sum and prodx optima range over every start size up to the order;
 the prodstar optimum excludes the full vertex set (its cost would be a
 degenerate 0) and is undefined on edgeless graphs.  Witnesses are
 deterministic: least value, then least size, then colex-least set.
 
-Without a table, ``throttling_number`` seeds its incumbent with a cost
-every graph reaches under all three rules: n for sum and prodx (the
-full set) and n - 1 for prodstar (all vertices but one with a
-neighbor, which is colored in one step).  Sizes whose least cost already
-reaches the optimum are then skipped before the first hit.
+``throttling_number`` walks the sizes once, from an incumbent one above
+a cost every graph reaches under all three rules: n for sum and prodx
+(the full set) and n - 1 for prodstar (all vertices but one with a
+neighbor, which is colored in one step).  A size that cannot beat the
+incumbent is skipped, never the end of the walk: under sum the least
+cost falls to n at the full set.  The per-size table is built apart.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .forcing import (
     INFINITY,
     Rule,
     Time,
+    _cheapest,
     _pt,
     _size_masks,
-    _sized_scan,
     k_propagation_time,
 )
 from .graph import Graph, VertexSet, bits
@@ -120,12 +122,12 @@ def throttling_at_size(rule: Rule, kind: ThrottleKind, g: Graph,
     Returns (INFINITY, None) when no size-k set completes.
     """
     n = g.n
-    if kind is ThrottleKind.PRODUCT_NO_INITIAL_COST:
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"size must be between 1 and {n - 1}, got {k}")
-    elif not 0 <= k <= n:
-        raise ValueError(f"size must be between 0 and {n}, got {k}")
-    hit = _sized_scan(rule, g.adjacency, n, k, *_cost_line(kind, k))
+    low, top = (1, n - 1) if kind is ThrottleKind.PRODUCT_NO_INITIAL_COST \
+        else (0, n)
+    if not low <= k <= top:
+        raise ValueError(f"size must be between {low} and {top}, got {k}")
+    hit = _cheapest(rule, g.adjacency, n, range(k, k + 1),
+                    partial(_cost_line, kind))
     if hit is None:
         return INFINITY, None
     return hit[0], VertexSet.from_mask(n, hit[2])
@@ -139,48 +141,21 @@ def throttling_number(rule: Rule, kind: ThrottleKind, g: Graph,
     """
     n = g.n
     if kind is ThrottleKind.PRODUCT_NO_INITIAL_COST and g.edge_count == 0:
-        raise ValueError(
-            "no-initial-cost throttling needs at least one edge"
-        )
-    if n == 0:
-        # The empty start set colors the empty graph in no steps.
-        return ThrottlingResult(
-            rule=rule, kind=kind, graph=g, value=0, size=0,
-            propagation_time=0, witness=VertexSet(0),
-            table={} if with_table else None,
-        )
-    # Without a table the incumbent carries across sizes, so a size
-    # returns a hit only when it strictly beats every smaller size.  A
-    # size that cannot beat it is skipped, never the end of the walk: the
-    # least cost rises with the size but falls to n at the full set.
-    # The walk starts from the cost `top` that every graph reaches (see
-    # the module docstring), so only costs up to it are scanned for.
-    best: Optional[tuple[int, int, int]] = None
-    best_k = 0
-    table: Optional[dict[int, TableEntry]] = {} if with_table else None
+        raise ValueError("no-initial-cost throttling needs at least one edge")
+    # The walk scans for costs up to `top`, which every graph reaches (see
+    # the module docstring).  The empty set colors the empty graph at once.
     top = n - 1 if kind is ThrottleKind.PRODUCT_NO_INITIAL_COST else n
-    for k in range(1, top + 1):
-        incumbent = None if with_table else \
-            top + 1 if best is None else best[0]
-        hit = _sized_scan(rule, g.adjacency, n, k, *_cost_line(kind, k),
-                          incumbent)
-        if table is not None:
-            table[k] = (INFINITY, None) if hit is None else \
-                (hit[0], VertexSet.from_mask(n, hit[2]))
-        if hit is not None and (best is None or hit[0] < best[0]):
-            best, best_k = hit, k
-
+    sizes = range(1, top + 1)
+    best = (0, 0, 0, 0) if n == 0 else _cheapest(
+        rule, g.adjacency, n, sizes, partial(_cost_line, kind), top + 1)
     if best is None:
         raise AssertionError("a finite throttling cost always exists here")
-    value, pt, mask = best
+    table = {k: throttling_at_size(rule, kind, g, k) for k in sizes} \
+        if with_table else None
+    value, pt, mask, size = best
     return ThrottlingResult(
-        rule=rule,
-        kind=kind,
-        graph=g,
-        value=value,
-        size=best_k,
-        propagation_time=pt,
-        witness=VertexSet.from_mask(n, mask),
+        rule=rule, kind=kind, graph=g, value=value, size=size,
+        propagation_time=pt, witness=VertexSet.from_mask(n, mask),
         table=table,
     )
 
@@ -206,12 +181,12 @@ def one_step_forcing_number(g: Graph) -> tuple[int, VertexSet]:
     """
     if g.edge_count == 0:
         raise ValueError("one-step forcing needs at least one edge")
-    for k in range(1, g.n):
-        # Incumbent cost 2 on the line pt admits only sets done in one step.
-        hit = _sized_scan(Rule.STANDARD, g.adjacency, g.n, k, 1, 0, 2)
-        if hit is not None:
-            return k, VertexSet.from_mask(g.n, hit[2])
-    raise AssertionError("deleting one endpoint of an edge always works")
+    # Incumbent cost 2 on the line pt admits only sets done in one step.
+    hit = _cheapest(Rule.STANDARD, g.adjacency, g.n, range(1, g.n),
+                    lambda _: (1, 0), 2)
+    if hit is None:
+        raise AssertionError("deleting one endpoint of an edge always works")
+    return hit[3], VertexSet.from_mask(g.n, hit[2])
 
 
 def is_matched_sum(g: Graph) -> tuple[bool, Optional[VertexSet]]:

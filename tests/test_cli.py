@@ -173,6 +173,26 @@ def test_paper_suite_rejects_bad_filter(capsys):
     assert "key=value" in err
 
 
+def test_paper_suite_rejects_two_values_for_one_filter_key(capsys):
+    code, out, err = run(capsys, "paper-suite", "--filter", "rule=pd",
+                         "--filter", "rule=psd", "--workers", "1")
+    assert code == 2
+    assert "rule=pd" in err and "rule=psd" in err
+    assert out == ""
+
+
+def test_paper_suite_repeated_filter_is_harmless(capsys):
+    once = run(capsys, "paper-suite", "--filter", "figure=7", "--workers",
+               "1", "--json")
+    twice = run(capsys, "paper-suite", "--filter", "figure=7", "--filter",
+                "figure=7", "--workers", "1", "--json")
+    assert once[0] == twice[0] == 0
+    reports = [json.loads(out) for _, out, _ in (once, twice)]
+    for data in reports:
+        del data["wall_time_seconds"]
+    assert reports[0] == reports[1]
+
+
 def test_props_single_suite(capsys):
     code, out, _ = run(capsys, "props", "--suite", "psd-step", "--nmax", "4",
                        "--workers", "1")

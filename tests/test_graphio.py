@@ -67,6 +67,19 @@ def test_graph6_rejects_garbage():
         parse_graph6("C")  # truncated: order 4 needs one data byte
 
 
+@pytest.mark.parametrize("record, bare, headed", [
+    ("C" + chr(127), 1, 11),  # invalid data byte
+    ("CAB", 3, 13),  # one adjacency byte too many
+    ("A@", 1, 11),  # nonzero padding bits
+    ("~", 1, 1),  # truncated order field, counted without the header
+])
+def test_graph6_error_offsets(record, bare, headed):
+    for text, offset in ((record, bare), (">>graph6<<" + record, headed)):
+        with pytest.raises(FormatError) as exc:
+            parse_graph6(text)
+        assert exc.value.offset == offset, text
+
+
 def test_graph6_rejects_padding_bits():
     # Order 2 uses one data byte with five padding bits; they must be zero.
     with pytest.raises(FormatError):

@@ -117,23 +117,29 @@ def test_witness_is_colex_least_among_minima():
     assert res.witness.mask == min(ties)
 
 
+@pytest.mark.parametrize("rule", RULES)
 @pytest.mark.parametrize("kind", KINDS)
-def test_per_size_table_matches_oracle(kind):
+def test_per_size_table_matches_oracle(rule, kind):
+    # Each entry holds the least cost at its size and the colex-least set
+    # of that size reaching it.
     for g in enumerate_graphs(4):
         if kind is ThrottleKind.PRODUCT_NO_INITIAL_COST and g.edge_count == 0:
             continue
-        res = throttling_number(Rule.STANDARD, kind, g, with_table=True)
+        res = throttling_number(rule, kind, g, with_table=True)
         top = g.n - 1 if kind is ThrottleKind.PRODUCT_NO_INITIAL_COST else g.n
         assert sorted(res.table) == list(range(1, top + 1))
         for k, (val, wit) in res.table.items():
-            best = inf
+            best = None
             for combo in combinations(range(g.n), k):
-                t = oracles.naive_pt("zf", g, combo)
+                t = oracles.naive_pt(rule.value, g, combo)
                 if t is not inf:
-                    best = min(best, oracles.throttle_cost(kind.value, k, t))
-            assert val == (INFINITY if best is inf else best)
-            if wit is not None:
-                assert throttling_of_set(Rule.STANDARD, kind, g, wit) == val
+                    cost = oracles.throttle_cost(kind.value, k, t)
+                    key = (cost, oracles.colex_key(combo))
+                    best = key if best is None else min(best, key)
+            if best is None:
+                assert (val, wit) == (INFINITY, None)
+            else:
+                assert (val, wit.mask) == best, f"{rule} {kind} k={k} on {g!r}"
         finite = [v for v, _ in res.table.values() if v != INFINITY]
         assert res.value == min(finite + ([g.n] if kind is not
                                 ThrottleKind.PRODUCT_NO_INITIAL_COST else []))
