@@ -252,6 +252,9 @@ PINNED_WITNESSES = {
                         "gives 2, original 3; (3) pd no-cost: contracting "
                         "(1,2) gives 1, original 3; (5) pd no-cost: "
                         "subdividing (1,2) gives 2, original 3"),
+    ("pt-monotone", None): ("7 violation(s)",
+                            "B={} + vertex 0: 2 > 1; B={} + vertex 1: 3 > 1; "
+                            "B={} + vertex 2: 5 > 1; B={0} + vertex 1: 4 > 2"),
     ("prop3.12", None): ("value=4",
                          "(1) deleting vertex 0 gives 1, allowed [3,4]; "
                          "(1) deleting vertex 2 gives 1, allowed [3,4]; "
@@ -272,9 +275,9 @@ def test_failure_witnesses_are_pinned(monkeypatch):
                         lambda rule, adj, n, mask: mask % 5 + n % 2)
     monkeypatch.setattr(suites, "throttling_number", bumped)
     for (name, item), expected in PINNED_WITNESSES.items():
-        payload = {"graph6": "Bg"}
+        payload = {"graph6": "Bg", "rule": "pd" if item == 5 else "zf"}
         if item is not None:
-            payload.update(item=item, rule="pd" if item == 5 else "zf")
+            payload["item"] = item
         record = run_case(("pinned", name, payload))
         assert (record["computed"], record["witness"]) == expected, name
 
