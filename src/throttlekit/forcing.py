@@ -54,6 +54,17 @@ Two counting bounds make the scan skip work:
   vertices exceed ``limit * (cap - t)``, where ``limit`` bounds the
   vertices a step can color: the filled count for the standard rule and
   for power domination after its first round, and n for the PSD rule.
+
+The suites that check a fact for every start set (Lemma 3.1's transfer
+items, and that a larger start set is never slower) read ``pt_table``
+instead: the time of every mask below 2**n, taking one step per mask.
+A non-empty step only adds vertices, so on a walk down from the full
+set the time of S is one more than that of S | step(S), known already,
+or INFINITY when the step is empty.  Under power domination it is one
+more than the standard time of S | dom(S).  A graph and its operated
+graphs recur across the cases of one graph, so the last 256 tables are
+cached; they are tuples, which no caller can change.  The sized scan
+does not use them: a capped scan touches few of the 2**n sets.
 """
 
 from __future__ import annotations
@@ -76,6 +87,10 @@ BLOCK_SETS = 4096
 BLOCK_MIN_SETS = 80
 
 Time = Union[int, float]
+
+# Largest order pt_table accepts: a table holds 2**n times, and no suite
+# goes past order 10, order 9 plus a subdivision.
+MAX_TABLE_ORDER = 16
 
 
 class Rule(enum.Enum):
@@ -203,6 +218,30 @@ def _pt(rule: Rule, adj: tuple[int, ...], n: int, mask: int,
         filled |= new
         unfilled -= new.bit_count()
     return t
+
+
+@lru_cache(maxsize=256)
+def pt_table(rule: Rule, adj: tuple[int, ...], n: int) -> tuple[Time, ...]:
+    """Propagation time of every mask below 2**n, indexed by mask.
+
+    One step per mask: a non-empty step only adds vertices, so each mask
+    reads the time of a larger one, already known on a descending walk.
+    """
+    if n > MAX_TABLE_ORDER:
+        raise ValueError(f"a propagation time table holds 2**n entries; "
+                         f"order {n} is above {MAX_TABLE_ORDER}")
+    full = (1 << n) - 1
+    tab: list[Time] = [0] * (full + 1)
+    # Power domination takes its domination step, then standard steps.
+    if rule is Rule.POWER_DOMINATION:
+        advance, after = _domination_step, pt_table(Rule.STANDARD, adj, n)
+    else:
+        advance = _psd_step if rule is Rule.PSD else _standard_step
+        after = tab
+    for mask in range(full - 1, -1, -1):
+        new = advance(adj, mask, full)
+        tab[mask] = after[mask | new] + 1 if new else INFINITY
+    return tuple(tab)
 
 
 @dataclass(frozen=True)

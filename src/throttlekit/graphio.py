@@ -76,18 +76,17 @@ def parse_graph6(text: str | bytes) -> Graph:
             raise FormatError(f"graph6 data is not ascii: {exc}") from None
     else:
         data = text.strip()
-    base_offset = 0
-    if data.startswith(GRAPH6_HEADER.encode("ascii")):
-        data = data[len(GRAPH6_HEADER):]
-        base_offset = len(GRAPH6_HEADER)
-    n, pos = _parse_graph6_order(data, 0)
+    # Offsets count from the start of the record, header included.
+    start = len(GRAPH6_HEADER) if data.startswith(
+        GRAPH6_HEADER.encode("ascii")) else 0
+    n, pos = _parse_graph6_order(data, start)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - pos != nbytes:
         raise FormatError(
             f"graph6 record for order {n} needs {nbytes} adjacency bytes, "
             f"found {len(data) - pos}",
-            offset=base_offset + len(data),
+            offset=len(data),
         )
     edges = []
     value = 0
@@ -98,8 +97,7 @@ def parse_graph6(text: str | bytes) -> Graph:
         if valid_bits == 0:
             b = data[byte_pos]
             if not 63 <= b <= 126:
-                raise FormatError(f"invalid graph6 byte {b}",
-                                  offset=base_offset + byte_pos)
+                raise FormatError(f"invalid graph6 byte {b}", offset=byte_pos)
             byte_pos += 1
             value = b - 63
             valid_bits = 6
@@ -111,7 +109,7 @@ def parse_graph6(text: str | bytes) -> Graph:
             i, j = 0, j + 1
     if valid_bits and value & ((1 << valid_bits) - 1):
         raise FormatError("nonzero padding bits in graph6 record",
-                          offset=base_offset + byte_pos - 1)
+                          offset=byte_pos - 1)
     return Graph(n, edges)
 
 

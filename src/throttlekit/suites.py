@@ -31,9 +31,9 @@ from .forcing import (
     INFINITY,
     Rule,
     _psd_step,
-    _pt,
     _standard_step,
     forcing_number,
+    pt_table,
 )
 from .domination import (
     domination_number,
@@ -268,20 +268,18 @@ def _run_transfer(g: Graph, payload: dict) -> Outcome:
     if item not in _TRANSFER:
         raise ValueError(f"unknown transfer item {item}")
     kind, on_h, witness, lift = _TRANSFER[item]
+    # The times of every start set on G and on each operated graph H,
+    # read from one table per graph.
+    gtab = pt_table(rule, g.adjacency, g.n)
     violations = []
     for _, u, v, h, vmap in _operations(g, (kind,)):
-        src, dst = (h, g) if on_h else (g, h)
-        sadj, sn, dadj, dn = src.adjacency, src.n, dst.adjacency, dst.n
+        htab = pt_table(rule, h.adjacency, h.n)
+        stab, dtab = (htab, gtab) if on_h else (gtab, htab)
         site = f"x={u}" if kind == "dv" else f"e=({u},{v})"
-        for bmask in range(1 << sn):
-            pt = _pt(rule, sadj, sn, bmask)
+        for bmask, pt in enumerate(stab):
             if pt == INFINITY:
                 continue
-            best = INFINITY
-            for m in lift(bmask, u, v, vmap):
-                t = _pt(rule, dadj, dn, m)
-                if t < best:
-                    best = t
+            best = min(dtab[m] for m in lift(bmask, u, v, vmap))
             if best > pt:
                 violations.append(witness.format(site=site, B=_fmt(bmask),
                                                  best=best, pt=pt))
@@ -411,15 +409,17 @@ def _run_universal_vertex(g: Graph, payload: dict) -> Outcome:
 
 def _run_pt_superset(g: Graph, payload: dict) -> Outcome:
     rule = Rule(payload["rule"])
-    n, adj, full = g.n, g.adjacency, g.full_mask
+    full = g.full_mask
+    # Every start set's time, and each one-vertex superset's, from one
+    # table.
+    tab = pt_table(rule, g.adjacency, g.n)
     violations = []
-    for bmask in range(1 << n):
-        base = _pt(rule, adj, n, bmask)
+    for bmask, base in enumerate(tab):
         rest = full & ~bmask
         while rest:
             bit = rest & -rest
             rest ^= bit
-            bigger = _pt(rule, adj, n, bmask | bit)
+            bigger = tab[bmask | bit]
             if bigger > base:
                 violations.append(f"B={_fmt(bmask)} + vertex "
                                   f"{bit.bit_length() - 1}: {bigger} > {base}")

@@ -19,6 +19,7 @@ from throttlekit.families import (
 )
 from throttlekit.forcing import (
     INFINITY,
+    MAX_TABLE_ORDER,
     Rule,
     _block_domination_step,
     _block_psd_step,
@@ -39,6 +40,7 @@ from throttlekit.forcing import (
     k_propagation_time,
     propagate,
     propagation_time,
+    pt_table,
     step,
 )
 from throttlekit.graph import Graph
@@ -89,6 +91,31 @@ def test_capped_pt_matches_oracle(rule):
                         assert got == t, where
                     else:
                         assert got is None or (got == INFINITY and t == inf), where
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_pt_table_matches_pt_and_oracle(rule):
+    # Every graph up to order 6: the table is _pt on every mask, and the
+    # oracle's time; a tuple, so a cached table cannot be changed.
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            table = pt_table(rule, g.adjacency, n)
+            assert type(table) is tuple
+            assert list(table) == [_pt(rule, g.adjacency, n, mask)
+                                   for mask in range(1 << n)], f"{g!r}"
+            for mask, t in enumerate(table):
+                members = [v for v in range(n) if mask >> v & 1]
+                expected = oracles.naive_pt(as_oracle_rule(rule), g, members)
+                assert t == (INFINITY if expected is inf else expected), \
+                    f"{rule} on {g!r} from {members}"
+
+
+def test_pt_table_refuses_large_orders():
+    # A table holds 2**n entries; a large graph is refused before any
+    # is allocated.
+    n = MAX_TABLE_ORDER + 1
+    with pytest.raises(ValueError, match=f"order {n} is above"):
+        pt_table(Rule.STANDARD, path(n).adjacency, n)
 
 
 def test_step_kernels_match_oracle():
@@ -330,6 +357,15 @@ def test_pt_reaches_step_rules_through_module_names(monkeypatch):
         counts.clear()
         assert forcing._pt(rule, g.adjacency, g.n, 0b1) == 4
         assert counts == steps, rule
+    # pt_table takes one step for each of the 31 masks below the full
+    # one; power domination's standard steps are its cached zf table's.
+    forcing.pt_table.cache_clear()
+    for rule, name in ((Rule.STANDARD, "_standard_step"),
+                       (Rule.PSD, "_psd_step"),
+                       (Rule.POWER_DOMINATION, "_domination_step")):
+        counts.clear()
+        assert forcing.pt_table(rule, g.adjacency, g.n)[0b1] == 4
+        assert counts == {name: 31}, rule
 
 
 @given(graphs(max_n=7), st.data())

@@ -60,9 +60,9 @@ def test_graph6_header_accepted():
 def test_graph6_rejects_garbage():
     with pytest.raises(FormatError):
         parse_graph6("")
-    with pytest.raises(FormatError) as exc:
-        parse_graph6("C" + chr(30))  # byte below the printable range
-    assert exc.value.offset is not None
+    with pytest.raises(FormatError, match="invalid graph6 byte 62") as exc:
+        parse_graph6("C>")  # a data byte just below the graph6 range
+    assert exc.value.offset == 1
     with pytest.raises(FormatError):
         parse_graph6("C")  # truncated: order 4 needs one data byte
 
@@ -71,7 +71,7 @@ def test_graph6_rejects_garbage():
     ("C" + chr(127), 1, 11),  # invalid data byte
     ("CAB", 3, 13),  # one adjacency byte too many
     ("A@", 1, 11),  # nonzero padding bits
-    ("~", 1, 1),  # truncated order field, counted without the header
+    ("~", 1, 11),  # truncated order field
 ])
 def test_graph6_error_offsets(record, bare, headed):
     for text, offset in ((record, bare), (">>graph6<<" + record, headed)):

@@ -271,8 +271,8 @@ def test_failure_witnesses_are_pinned(monkeypatch):
         value = real(rule, kind, g).value + (2 if g == p3 else 0)
         return types.SimpleNamespace(value=value)
 
-    monkeypatch.setattr(suites, "_pt",
-                        lambda rule, adj, n, mask: mask % 5 + n % 2)
+    monkeypatch.setattr(suites, "pt_table", lambda rule, adj, n: tuple(
+        m % 5 + n % 2 for m in range(1 << n)))
     monkeypatch.setattr(suites, "throttling_number", bumped)
     for (name, item), expected in PINNED_WITNESSES.items():
         payload = {"graph6": "Bg", "rule": "pd" if item == 5 else "zf"}
