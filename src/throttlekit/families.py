@@ -350,7 +350,8 @@ def _build_term(term: str) -> Fixture:
         toks = argstr.split(",") if argstr else []
         if len(toks) != 2:
             raise ValueError("corona takes a host graph and a leaf count")
-        return Fixture(corona(_arg_graph(toks[0].strip()), int(toks[1])),
+        leaves = _int_args(name, toks[1].strip(), 1)[0]
+        return Fixture(corona(_arg_graph(toks[0].strip()), leaves),
                        meta={"name": term})
     if name == "book":
         g, spine = book(_int_args(name, argstr, 1)[0])
@@ -378,13 +379,31 @@ def _resolve_vertex(fx: Fixture, ref: str) -> int:
         raise ValueError(f"unknown vertex reference {ref!r}") from None
 
 
+def _resolve_pair(fx: Fixture, ref: str) -> tuple[int, int]:
+    # Names such as z_0-1 hold a dash themselves, so ``u-v`` is split at
+    # the one dash whose two sides both name vertices.
+    pairs = []
+    for i, ch in enumerate(ref):
+        if ch != "-":
+            continue
+        try:
+            pairs.append((_resolve_vertex(fx, ref[:i]),
+                          _resolve_vertex(fx, ref[i + 1:])))
+        except ValueError:
+            pass
+    if not pairs:
+        raise ValueError(f"unknown edge reference {ref!r}: no dash splits "
+                         "it into two vertex references")
+    if len(pairs) > 1:
+        raise ValueError(f"ambiguous edge reference {ref!r}: it splits "
+                         f"into {len(pairs)} vertex pairs")
+    return pairs[0]
+
+
 def _resolve_edge(fx: Fixture, ref: str) -> tuple[str, tuple[int, int]]:
     if ref in fx.edges:
         return ref, fx.edges[ref]
-    if "-" in ref:
-        a, b = ref.split("-", 1)
-        return ref, (_resolve_vertex(fx, a), _resolve_vertex(fx, b))
-    raise ValueError(f"unknown edge reference {ref!r}")
+    return ref, _resolve_pair(fx, ref)
 
 
 def _remap_names(fx: Fixture, g: Graph, vmap: VertexMap,
@@ -422,8 +441,7 @@ def _apply_op(fx: Fixture, spec: str) -> Fixture:
     if op == "ae":
         if "-" not in ref:
             raise ValueError("ae needs an explicit u-v pair")
-        a, b = ref.split("-", 1)
-        u, v = _resolve_vertex(fx, a), _resolve_vertex(fx, b)
+        u, v = _resolve_pair(fx, ref)
         if g.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) already present")
         g2 = Graph(g.n, list(g.edges()) + [(u, v)])

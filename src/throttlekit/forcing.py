@@ -29,31 +29,28 @@ per edge run one step for every set in the block.  The first step at
 which the AND of all planes is non-zero gives the block's least time,
 and its lowest bit the colex-first set reaching it.  One loop,
 ``_block_pt``, runs the blocks of every rule; only the steps differ:
-each rule has a first block step and a later one, the same for the
-standard and PSD rules, and for power domination the domination step
-followed by the standard one.  The PSD step adds reach planes to the
-standard one: where a filled vertex sees two or more unfilled
-neighbors, the component of each of them is flooded along the edges of
-the unfilled part, in just the sets that need it, and the standard step
-runs again with the flood as the unfilled part, so the vertex forces
-its only neighbor in the flood.  A block costs more than it saves on a
-few sets, so a PSD or power domination size with fewer than
-``BLOCK_MIN_SETS`` sets is scanned one set at a time with ``_pt``.
+each rule has a first block step and a later one (``_BLOCK_STEPS``),
+the same for the standard and PSD rules, and for power domination the
+domination step followed by the standard one.  ``_steps`` gives the
+same pair as mask steps for one set at a time, and ``_pt``,
+``propagate`` and ``step`` take the first, then the later.  The PSD
+step adds reach planes to the standard one: where a filled vertex sees
+two or more unfilled neighbors, the component of each of them is
+flooded along the edges of the unfilled part, in just the sets that
+need it, and the standard step runs again with the flood as the
+unfilled part, so the vertex forces its only neighbor in the flood.  A
+block costs more than it saves on a few sets, so a PSD or power
+domination size with fewer than ``BLOCK_MIN_SETS`` sets is scanned one
+set at a time with ``_pt``.
 
-Two counting bounds make the scan skip work:
-
-* the chain floors: under the standard rule a size-k start set is k
-  forcing chains, each growing by at most one vertex a step, so a
-  completing set has pt >= ceil((n - k) / k) when 0 < k < n.  Under power
-  domination the vertices of the start set have no unfilled neighbor
-  after the first round, so at most k * maxdeg chains grow and pt >=
-  ceil((n - k) / (k * maxdeg)).  The least cost at a size uses them, so
-  a size whose floor cannot beat the incumbent is skipped, and a scan
-  stops early once a set reaches it;
-* the fill limit: a capped ``_pt`` run stops as soon as its unfilled
-  vertices exceed ``limit * (cap - t)``, where ``limit`` bounds the
-  vertices a step can color: the filled count for the standard rule and
-  for power domination after its first round, and n for the PSD rule.
+The chain floors make the scan skip work: under the standard rule a
+size-k start set is k forcing chains, each growing by at most one vertex
+a step, so a completing set has pt >= ceil((n - k) / k) when 0 < k < n.
+Under power domination the vertices of the start set have no unfilled
+neighbor after the first round, so at most k * maxdeg chains grow and
+pt >= ceil((n - k) / (k * maxdeg)).  The least cost at a size uses them,
+so a size whose floor cannot beat the incumbent is skipped, and a scan
+stops early once a set reaches it.
 
 The suites that check a fact for every start set (Lemma 3.1's transfer
 items, and that a larger start set is never slower) read ``pt_table``
@@ -165,58 +162,37 @@ def _domination_step(adj: tuple[int, ...], filled: int, full: int) -> int:
     return reach & full & ~filled
 
 
-def _step_mask(rule: Rule, adj: tuple[int, ...], filled: int, full: int,
-               time_index: int) -> int:
-    if rule is Rule.POWER_DOMINATION and time_index == 1:
-        return _domination_step(adj, filled, full)
-    if rule is Rule.PSD:
-        return _psd_step(adj, filled, full)
-    return _standard_step(adj, filled, full)
+def _steps(rule: Rule) -> tuple[Callable[..., int], Callable[..., int]]:
+    """The rule's step for the first round and for every later one."""
+    # A function, not a table like _BLOCK_STEPS: the benchmark's tracer
+    # counts steps by rebinding these module names, so they are read on
+    # every call.
+    if rule is Rule.POWER_DOMINATION:
+        return _domination_step, _standard_step
+    advance = _psd_step if rule is Rule.PSD else _standard_step
+    return advance, advance
 
 
 def _pt(rule: Rule, adj: tuple[int, ...], n: int, mask: int,
         cap: Optional[int] = None) -> Optional[Time]:
     """Propagation time of ``mask``: an int, INFINITY on a stall, or
-    None once the time provably exceeds ``cap``.
+    None once the time would exceed ``cap``.
 
-    A capped run is cut as soon as its unfilled vertices cannot all be
-    colored within the cap, so it may return None where it would have
-    stalled.
+    The rule's first step (``_steps``) runs once, its later step after.
     """
     full = (1 << n) - 1
-    if mask == full:
-        return 0
     filled = mask
     t = 0
-    if rule is Rule.POWER_DOMINATION:
-        if cap is not None and cap < 1:
+    advance, later = _steps(rule)
+    while filled != full:
+        if cap is not None and t >= cap:
             return None
-        filled |= _domination_step(adj, filled, full)
-        if filled == mask:
-            return INFINITY
-        t = 1
-    if rule is Rule.PSD:
-        advance = _psd_step
-        limit = n
-    else:
-        # One forcing chain starts at each filled vertex, and a chain
-        # grows by at most one vertex a step.
-        advance = _standard_step
-        limit = filled.bit_count()
-    unfilled = n - filled.bit_count()
-    # The cut: the unfilled vertices need more than the steps left.
-    spare = None if cap is None else limit * (cap - t)
-    while unfilled:
-        if spare is not None:
-            if unfilled > spare:
-                return None
-            spare -= limit
         new = advance(adj, filled, full)
         if not new:
             return INFINITY
         t += 1
         filled |= new
-        unfilled -= new.bit_count()
+        advance = later
     return t
 
 
@@ -232,12 +208,11 @@ def pt_table(rule: Rule, adj: tuple[int, ...], n: int) -> tuple[Time, ...]:
                          f"order {n} is above {MAX_TABLE_ORDER}")
     full = (1 << n) - 1
     tab: list[Time] = [0] * (full + 1)
-    # Power domination takes its domination step, then standard steps.
-    if rule is Rule.POWER_DOMINATION:
-        advance, after = _domination_step, pt_table(Rule.STANDARD, adj, n)
-    else:
-        advance = _psd_step if rule is Rule.PSD else _standard_step
-        after = tab
+    advance = _steps(rule)[0]
+    # Power domination's later steps are standard ones, so after its
+    # domination step it reads the standard table.
+    after = pt_table(Rule.STANDARD, adj, n) \
+        if rule is Rule.POWER_DOMINATION else tab
     for mask in range(full - 1, -1, -1):
         new = advance(adj, mask, full)
         tab[mask] = after[mask | new] + 1 if new else INFINITY
@@ -292,7 +267,8 @@ def step(rule: Rule, g: Graph, filled: VertexSet,
         raise ValueError("vertex set order does not match the graph")
     if time_index < 1:
         raise ValueError(f"time index must be at least 1, got {time_index}")
-    new = _step_mask(rule, g.adjacency, filled.mask, g.full_mask, time_index)
+    advance = _steps(rule)[time_index > 1]
+    new = advance(g.adjacency, filled.mask, g.full_mask)
     return VertexSet.from_mask(g.n, new)
 
 
@@ -306,17 +282,19 @@ def propagate(rule: Rule, g: Graph, initial: VertexSet,
     filled = initial.mask
     steps: list[VertexSet] = []
     comps: list[tuple[VertexSet, ...]] = []
+    advance, later = _steps(rule)
     while filled != full:
         if record_components and rule is Rule.PSD:
             comps.append(tuple(
                 VertexSet.from_mask(g.n, c)
                 for c in mask_components(adj, full & ~filled)
             ))
-        new = _step_mask(rule, adj, filled, full, len(steps) + 1)
+        new = advance(adj, filled, full)
         if not new:
             break
         steps.append(VertexSet.from_mask(g.n, new))
         filled |= new
+        advance = later
     return PropagationTrace(
         rule=rule,
         graph=g,
@@ -395,20 +373,23 @@ def _blocks(n: int, k: int) -> Iterator[tuple[int, int, int]]:
 def _planes(t: int, j: int) -> tuple[int, ...]:
     """Membership planes of the j-subsets of {0..t-1} in colex order:
     bit i of plane v says whether v is in the i-th subset."""
-    # members(s, i) = members(s-1, i) ++ (members(s-1, i-1) + {s-1}),
-    # filled in row by row over s for the cells on the way to (t, j).
-    row: dict[int, tuple[int, ...]] = {}
-    for s in range(t + 1):
-        prev, row = row, {}
-        for i in range(max(0, s - t + j), min(j, s) + 1):
-            if i == 0 or i == s:
-                row[i] = (int(i > 0),) * s
-                continue
-            shift = comb(s - 1, i)
-            row[i] = tuple(a | b << shift
-                           for a, b in zip(prev[i], prev[i - 1])) \
-                + (((1 << comb(s - 1, i - 1)) - 1) << shift,)
-    return row[j]
+    # members(t, j) = members(t-1, j) ++ (members(t-1, j-1) + {t-1}),
+    # which recurses up to t deep.  A block holds at most BLOCK_SETS
+    # sets, so only j <= 1 and j >= t - 1 reach orders past 91, where
+    # comb(t, 2) > BLOCK_SETS; those are built directly.
+    if j == 0 or j == t:
+        return (int(j > 0),) * t
+    if j == 1:
+        # The i-th set is {i}.
+        return tuple([1 << v for v in range(t)])
+    if j == t - 1:
+        # The i-th set lacks t - 1 - i.
+        ones = (1 << t) - 1
+        return tuple([ones ^ 1 << (t - 1 - v) for v in range(t)])
+    shift = comb(t - 1, j)
+    return tuple([a | b << shift for a, b in
+                  zip(_planes(t - 1, j), _planes(t - 1, j - 1))]) \
+        + (((1 << comb(t - 1, j - 1)) - 1) << shift,)
 
 
 def _unrank(high: int, t: int, j: int, index: int) -> int:

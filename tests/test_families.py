@@ -6,6 +6,8 @@ from throttlekit.families import (
     MAX_ENUMERATION_ORDER,
     PARAMETRIC_FIXTURES,
     STATIC_FIXTURES,
+    Fixture,
+    _apply_op,
     _iso_classes,
     book,
     complete,
@@ -214,6 +216,36 @@ def test_parse_named_edge_and_vertex_refs():
     assert are_isomorphic(fx.graph, star(5))
     fx2 = parse_graph_expression("book:3/ce:e")
     assert fx2.graph.n == 7
+
+
+def test_parse_edge_refs_with_dashed_names():
+    # Names made by se and ce hold a dash, and may stand at either end
+    # of an edge reference: the split is the one whose sides both name
+    # vertices.
+    for expr in ("P4/se:0-1/de:z_0-1-0", "P4/se:0-1/de:0-z_0-1"):
+        fx = parse_graph_expression(expr)
+        z = fx.vertices["z_0-1"]
+        assert not fx.graph.has_edge(z, 0) and fx.graph.has_edge(z, 1)
+    for expr in ("C5/ce:1-2/de:y_1-2-0", "C5/ce:1-2/de:0-y_1-2"):
+        fx = parse_graph_expression(expr)
+        assert are_isomorphic(fx.graph, path(4))
+        assert fx.graph.degree(fx.vertices["y_1-2"]) == 1
+    fx = parse_graph_expression("P4/se:0-1/ae:z_0-1-3")
+    assert fx.graph.has_edge(fx.vertices["z_0-1"], 3)
+    # A reference that two splits resolve names no one edge.
+    fx = Fixture(path(3), vertices={"a": 0, "a-b": 1, "b-c": 1, "c": 2})
+    with pytest.raises(ValueError,
+                       match="ambiguous edge reference 'a-b-c': it splits "
+                             "into 2 vertex pairs"):
+        _apply_op(fx, "de:a-b-c")
+    with pytest.raises(ValueError, match="unknown edge reference 'z_0-9'"):
+        parse_graph_expression("P4/se:0-1/de:z_0-9")
+
+
+def test_corona_leaf_count_error_names_the_form():
+    with pytest.raises(ValueError,
+                       match="^corona takes integer arguments, got 'x'$"):
+        parse_graph_expression("corona:P3,x")
 
 
 def test_parse_rejects_nonsense():

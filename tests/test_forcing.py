@@ -62,16 +62,19 @@ def as_oracle_rule(rule: Rule) -> str:
 
 @pytest.mark.parametrize("rule", RULES)
 def test_engine_matches_oracle_exhaustively(rule):
-    # Every iso class up to order 5, every start set.
+    # Every iso class up to order 5, every start set, through _pt and
+    # through propagate's trace.
     for n in range(1, 6):
         for g in enumerate_graphs(n):
             for k in range(n + 1):
                 for combo in combinations(range(n), k):
                     expected = oracles.naive_pt(as_oracle_rule(rule), g, combo)
-                    got = propagation_time(rule, g, g.vertex_set(combo))
-                    assert got == (INFINITY if expected is inf else expected), (
-                        f"{rule} disagrees on {g!r} from {combo}"
-                    )
+                    expected = INFINITY if expected is inf else expected
+                    start = g.vertex_set(combo)
+                    where = f"{rule} disagrees on {g!r} from {combo}"
+                    assert propagation_time(rule, g, start) == expected, where
+                    assert propagate(rule, g, start).propagation_time \
+                        == expected, where
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -193,6 +196,12 @@ def test_blocks_list_the_size_masks_in_order():
             expected = list(_size_masks(n, k))
             assert unranked == expected, (n, k)
             assert sliced == expected, (n, k)
+    # On a large graph the sets of size 1 and n - 1 fill one block each.
+    n = forcing.BLOCK_SETS
+    ones = (1 << n) - 1
+    assert _planes(n, 1) == tuple(1 << v for v in range(n))
+    assert _planes(n, n - 1) == tuple(ones ^ 1 << (n - 1 - v)
+                                      for v in range(n))
 
 
 def test_psd_block_step_matches_psd_step_to_order_6():
@@ -340,7 +349,7 @@ def test_psd_scan_runs_few_sets_one_by_one(monkeypatch):
 
 def test_pt_reaches_step_rules_through_module_names(monkeypatch):
     # The benchmark's tracer counts steps by rebinding these names, so
-    # _pt must look them up on every step.
+    # _pt, propagate, step and pt_table must look them up on every call.
     counts = {}
     for name in ("_standard_step", "_psd_step", "_domination_step"):
         def counted(*args, _name=name, _step=getattr(forcing, name)):
@@ -353,10 +362,24 @@ def test_pt_reaches_step_rules_through_module_names(monkeypatch):
         Rule.PSD: {"_psd_step": 4},
         Rule.POWER_DOMINATION: {"_domination_step": 1, "_standard_step": 3},
     }
+    start = g.vertex_set([0])
     for rule, steps in expected.items():
         counts.clear()
         assert forcing._pt(rule, g.adjacency, g.n, 0b1) == 4
         assert counts == steps, rule
+        counts.clear()
+        assert forcing.propagate(rule, g, start).propagation_time == 4
+        assert counts == steps, rule
+    # step takes the rule's first step at time index 1, its later one at
+    # every index after.
+    for rule, first, later in (
+            (Rule.STANDARD, "_standard_step", "_standard_step"),
+            (Rule.PSD, "_psd_step", "_psd_step"),
+            (Rule.POWER_DOMINATION, "_domination_step", "_standard_step")):
+        for time_index, name in ((1, first), (2, later), (3, later)):
+            counts.clear()
+            forcing.step(rule, g, start, time_index)
+            assert counts == {name: 1}, (rule, time_index)
     # pt_table takes one step for each of the 31 masks below the full
     # one; power domination's standard steps are its cached zf table's.
     forcing.pt_table.cache_clear()
