@@ -306,12 +306,23 @@ def test_ingest_missing_file(capsys):
     assert code == 2
 
 
+PARAMETRIC_FORMS = (
+    "path:n", "cycle:n", "complete:n", "empty:n", "star:n",
+    "spider:a1,a2,...", "corona:H,r", "book:k", "family_6n7:H",
+    "matched_complete:r", "ex11_57:H", "star_plus_edge:n", "corona_tower:H",
+)
+
+
 def test_families_listing(capsys):
     code, out, _ = run(capsys, "families", "list")
     assert code == 0
     assert "fig2_spider_plus_e" in out
-    assert "spider:a1,a2,..." in out
-    assert "/se:E" in out
+    lines = out.splitlines()
+    start = lines.index("parametric forms:") + 1
+    assert lines[start:start + len(PARAMETRIC_FORMS)] == [
+        f"  {form}" for form in PARAMETRIC_FORMS]
+    assert lines[-1] == ("operation suffixes: /dv:V /de:E /ae:U-W /ce:E "
+                         "/se:E (repeatable, applied left to right)")
 
 
 def test_families_json(capsys):
@@ -320,4 +331,5 @@ def test_families_json(capsys):
     data = json.loads(out)
     names = [entry["name"] for entry in data["static"]]
     assert "fig4_twin" in names
-    assert "family_6n7:H" in data["parametric"]
+    assert data["parametric"] == list(PARAMETRIC_FORMS)
+    assert list(data["operations"]) == ["dv", "de", "ae", "ce", "se"]
