@@ -14,12 +14,14 @@ import json
 import sys
 from typing import Optional
 
-from .graph import Graph, VertexSet
+from .graph import VertexSet
 from .graphio import FormatError, format_graph6, load_graphs, parse_graph6
 from .families import (
+    OPERATIONS,
     PARAMETRIC_FIXTURES,
     STATIC_FIXTURES,
     Fixture,
+    _resolve_vertex,
     fixture,
     parse_graph_expression,
 )
@@ -57,34 +59,23 @@ def _print_json(command: str, **body) -> None:
                       **body}, indent=2))
 
 
-def _parse_set(text: str, g: Graph, names: dict[str, int]) -> VertexSet:
-    labels = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token in names:
-            labels.append(names[token])
-        else:
-            try:
-                labels.append(int(token))
-            except ValueError:
-                raise ValueError(f"unknown vertex {token!r}") from None
-    return g.vertex_set(labels)
+def _parse_set(text: str, fx: Fixture) -> VertexSet:
+    tokens = (token.strip() for token in text.split(","))
+    return fx.graph.vertex_set(
+        _resolve_vertex(fx, token) for token in tokens if token)
 
 
-def _compute_sources(args) -> list[tuple[str, Graph, dict[str, int]]]:
+def _compute_sources(args) -> list[tuple[str, Fixture]]:
     picked = [s for s in ("fixture", "graph6", "input") if getattr(args, s)]
     if len(picked) != 1:
         raise ValueError(
             "exactly one of --fixture, --graph6, or --input is required")
     if args.fixture:
-        fx = parse_graph_expression(args.fixture)
-        return [(args.fixture, fx.graph, dict(fx.vertices))]
+        return [(args.fixture, parse_graph_expression(args.fixture))]
     if args.graph6:
-        return [(args.graph6, parse_graph6(args.graph6), {})]
+        return [(args.graph6, Fixture(parse_graph6(args.graph6)))]
     graphs = load_graphs(args.input, args.format)
-    return [(f"{args.input}[{i}]", g, {}) for i, g in enumerate(graphs)]
+    return [(f"{args.input}[{i}]", Fixture(g)) for i, g in enumerate(graphs)]
 
 
 def _check_compute_options(args) -> None:
@@ -103,10 +94,11 @@ def _check_compute_options(args) -> None:
         raise ValueError("--trace requires --set")
 
 
-def _compute_one(label: str, g: Graph, names: dict[str, int], args) -> dict:
+def _compute_one(label: str, fx: Fixture, args) -> dict:
+    g = fx.graph
     record: dict = {"id": label, "order": g.n}
     rule = Rule(args.rule) if args.rule else None
-    initial = _parse_set(args.set, g, names) if args.set else None
+    initial = _parse_set(args.set, fx) if args.set else None
 
     def need_rule() -> Rule:
         if rule is None:
@@ -168,8 +160,8 @@ def _print_trace(record: dict) -> None:
 
 def _cmd_compute(args) -> int:
     _check_compute_options(args)
-    records = [_compute_one(label, g, names, args)
-               for label, g, names in _compute_sources(args)]
+    records = [_compute_one(label, fx, args)
+               for label, fx in _compute_sources(args)]
     if args.json:
         _print_json("compute", records=records)
         return 0
@@ -281,12 +273,7 @@ def _cmd_families(args) -> int:
     if args.json:
         _print_json("families", static=static,
                     parametric=list(PARAMETRIC_FIXTURES), operations={
-                        "dv": "delete vertex, e.g. fig4_twin/dv:x",
-                        "de": "delete edge, e.g. fig3_H1/de:e",
-                        "ae": "add edge, e.g. matched_complete:3/ae:0-4",
-                        "ce": "contract edge, e.g. fig5_K2corona/ce:e",
-                        "se": "subdivide edge, e.g. fig7_subdiv/se:e",
-                    })
+                        op: text for op, (_, text) in OPERATIONS.items()})
         return 0
     print("static fixtures:")
     for entry in static:
@@ -296,7 +283,8 @@ def _cmd_families(args) -> int:
     print("parametric forms:")
     for form in PARAMETRIC_FIXTURES:
         print(f"  {form}")
-    print("operation suffixes: /dv:V /de:E /ae:U-W /ce:E /se:E "
+    suffixes = " ".join(f"/{op}:{ref}" for op, (ref, _) in OPERATIONS.items())
+    print(f"operation suffixes: {suffixes} "
           "(repeatable, applied left to right)")
     return 0
 

@@ -5,6 +5,11 @@ this module ships a catalog of small named graphs transcribed once from
 figures into edge-list data files, loadable by name.  A tiny expression
 language ("spider:2,2,1,1", "fig4_twin/dv:x") builds any of them plus
 derived graphs on the command line and in the bundled claim catalog.
+The language is declared once: ``_FORMS`` holds every parametric form
+with its argument spec and builder, ``_ATOMS`` the short names (P4, K3,
+...), and ``OPERATIONS`` every surgery suffix; the parser, the catalog
+listing and the CLI read those tables.  Integers and numeric vertex
+references are ASCII decimal digits.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .graph import Graph, VertexMap
 from .graphio import read_edge_list
@@ -33,22 +38,6 @@ STATIC_FIXTURES = (
     "fig6_legs5_plus_e",
     "ex3_7_H",
     "fig7_subdiv",
-)
-
-PARAMETRIC_FIXTURES = (
-    "path:n",
-    "cycle:n",
-    "complete:n",
-    "empty:n",
-    "star:n",
-    "spider:a1,a2,...",
-    "corona:H,r",
-    "book:k",
-    "family_6n7:H",
-    "matched_complete:r",
-    "ex11_57:H",
-    "star_plus_edge:n",
-    "corona_tower:H",
 )
 
 
@@ -281,102 +270,102 @@ def fixture(name: str) -> Fixture:
 # expression language
 
 
-_ATOM = re.compile(r"^([KPCE])(\d+)$")
+_DIGITS = re.compile(r"[0-9]+")
+_ATOMS = {"K": "complete", "P": "path", "C": "cycle", "E": "empty"}
+_ATOM = re.compile(f"([{''.join(_ATOMS)}])([0-9]+)")
 
 
-def _atom_graph(token: str) -> Optional[Graph]:
-    m = _ATOM.match(token)
-    if not m:
-        return None
-    kind, num = m.group(1), int(m.group(2))
-    if kind == "K":
-        return complete(num)
-    if kind == "P":
-        return path(num)
-    if kind == "C":
-        return cycle(num)
-    return empty_graph(num)
+def _spider(*legs: int) -> Fixture:
+    g, center = spider(legs)
+    return Fixture(g, vertices={"c": center})
 
 
-def _arg_graph(token: str) -> Graph:
-    g = _atom_graph(token)
-    if g is not None:
-        return g
-    if token in STATIC_FIXTURES:
-        return fixture(token).graph
+def _book(k: int) -> Fixture:
+    g, spine = book(k)
+    return Fixture(g, vertices={"c1": spine[0], "c2": spine[1]},
+                   edges={"e": spine})
+
+
+# head -> (argument spec, builder); in a spec, H is a graph argument,
+# every other name an integer, and "a1,a2,..." any number of integers.
+_FORMS = {
+    "path": ("n", lambda n: Fixture(path(n))),
+    "cycle": ("n", lambda n: Fixture(cycle(n))),
+    "complete": ("n", lambda n: Fixture(complete(n))),
+    "empty": ("n", lambda n: Fixture(empty_graph(n))),
+    "star": ("n", lambda n: Fixture(star(n), vertices={"c": 0})),
+    "spider": ("a1,a2,...", _spider),
+    "corona": ("H,r", lambda h, r: Fixture(corona(h, r))),
+    "book": ("k", _book),
+    "family_6n7": ("H", family_6n7),
+    "matched_complete": ("r", matched_complete),
+    "ex11_57": ("H", ex11_57),
+    "star_plus_edge": ("n", star_plus_edge),
+    "corona_tower": ("H", corona_tower),
+}
+
+PARAMETRIC_FIXTURES = tuple(f"{name}:{spec}"
+                            for name, (spec, _) in _FORMS.items())
+
+# suffix -> (reference it takes, description)
+OPERATIONS = {
+    "dv": ("V", "delete vertex, e.g. fig4_twin/dv:x"),
+    "de": ("E", "delete edge, e.g. fig3_H1/de:e"),
+    "ae": ("U-W", "add edge, e.g. matched_complete:3/ae:0-4"),
+    "ce": ("E", "contract edge, e.g. fig5_K2corona/ce:e"),
+    "se": ("E", "subdivide edge, e.g. fig7_subdiv/se:e"),
+}
+
+
+def _number(name: str, token: str) -> int:
+    if not _DIGITS.fullmatch(token):
+        raise ValueError(f"{name} takes integer arguments, got {token!r}")
+    return int(token)
+
+
+def _graph_arg(token: str) -> Graph:
+    if _ATOM.fullmatch(token) or token in STATIC_FIXTURES:
+        return _build_term(token).graph
     raise ValueError(f"cannot interpret {token!r} as a graph argument")
 
 
-def _int_args(name: str, argstr: str, count: Optional[int] = None) -> list[int]:
-    if not argstr:
-        raise ValueError(f"{name} needs arguments")
-    try:
-        args = [int(tok) for tok in argstr.split(",")]
-    except ValueError:
-        raise ValueError(f"{name} takes integer arguments, got {argstr!r}") from None
-    if count is not None and len(args) != count:
-        raise ValueError(f"{name} takes {count} argument(s), got {len(args)}")
-    return args
-
-
 def _build_term(term: str) -> Fixture:
-    name, _, argstr = term.partition(":")
-    name = name.strip()
-    argstr = argstr.strip()
-    atom = _atom_graph(name)
-    if atom is not None:
-        if argstr:
-            raise ValueError(f"{name} takes no arguments")
-        return Fixture(atom, meta={"name": name})
+    name, _, argstr = (part.strip() for part in term.partition(":"))
     if name in STATIC_FIXTURES:
         if argstr:
             raise ValueError(f"fixture {name} takes no arguments")
         return fixture(name)
-    if name == "path":
-        return Fixture(path(_int_args(name, argstr, 1)[0]), meta={"name": term})
-    if name == "cycle":
-        return Fixture(cycle(_int_args(name, argstr, 1)[0]), meta={"name": term})
-    if name == "complete":
-        return Fixture(complete(_int_args(name, argstr, 1)[0]), meta={"name": term})
-    if name == "empty":
-        return Fixture(empty_graph(_int_args(name, argstr, 1)[0]), meta={"name": term})
-    if name == "star":
-        return Fixture(star(_int_args(name, argstr, 1)[0]),
-                       vertices={"c": 0}, meta={"name": term})
-    if name == "spider":
-        g, center = spider(_int_args(name, argstr))
-        return Fixture(g, vertices={"c": center}, meta={"name": term})
-    if name == "corona":
-        toks = argstr.split(",") if argstr else []
-        if len(toks) != 2:
-            raise ValueError("corona takes a host graph and a leaf count")
-        leaves = _int_args(name, toks[1].strip(), 1)[0]
-        return Fixture(corona(_arg_graph(toks[0].strip()), leaves),
-                       meta={"name": term})
-    if name == "book":
-        g, spine = book(_int_args(name, argstr, 1)[0])
-        return Fixture(g, vertices={"c1": spine[0], "c2": spine[1]},
-                       edges={"e": spine}, meta={"name": term})
-    if name == "family_6n7":
-        return family_6n7(_arg_graph(argstr))
-    if name == "matched_complete":
-        return matched_complete(_int_args(name, argstr, 1)[0])
-    if name == "ex11_57":
-        return ex11_57(_arg_graph(argstr))
-    if name == "star_plus_edge":
-        return star_plus_edge(_int_args(name, argstr, 1)[0])
-    if name == "corona_tower":
-        return corona_tower(_arg_graph(argstr))
-    raise ValueError(f"unknown graph name {name!r}")
+    atom = _ATOM.fullmatch(name)
+    if atom:
+        if argstr:
+            raise ValueError(f"{name} takes no arguments")
+        form, argstr, label = _ATOMS[atom[1]], atom[2], name
+    else:
+        form, label = name, term
+    if form not in _FORMS:
+        raise ValueError(f"unknown graph name {name!r}")
+    spec, build = _FORMS[form]
+    if not argstr:
+        raise ValueError(f"{form} needs arguments")
+    tokens = [tok.strip() for tok in argstr.split(",")]
+    kinds = spec.split(",")
+    if kinds[-1] == "...":
+        kinds = kinds[:1] * len(tokens)
+    elif len(tokens) != len(kinds):
+        raise ValueError(
+            f"{form} takes {len(kinds)} argument(s), got {len(tokens)}")
+    fx = build(*(_graph_arg(tok) if kind == "H" else _number(form, tok)
+                 for kind, tok in zip(kinds, tokens)))
+    fx.meta.setdefault("name", label)
+    return fx
 
 
 def _resolve_vertex(fx: Fixture, ref: str) -> int:
     if ref in fx.vertices:
         return fx.vertices[ref]
-    try:
+    if _DIGITS.fullmatch(ref):
         return int(ref)
-    except ValueError:
-        raise ValueError(f"unknown vertex reference {ref!r}") from None
+    raise ValueError(f"unknown vertex reference {ref!r}")
 
 
 def _resolve_pair(fx: Fixture, ref: str) -> tuple[int, int]:
@@ -387,8 +376,8 @@ def _resolve_pair(fx: Fixture, ref: str) -> tuple[int, int]:
         if ch != "-":
             continue
         try:
-            pairs.append((_resolve_vertex(fx, ref[:i]),
-                          _resolve_vertex(fx, ref[i + 1:])))
+            pairs.append((_resolve_vertex(fx, ref[:i].strip()),
+                          _resolve_vertex(fx, ref[i + 1:].strip())))
         except ValueError:
             pass
     if not pairs:
@@ -428,6 +417,9 @@ def _apply_op(fx: Fixture, spec: str) -> Fixture:
     op, _, ref = spec.partition(":")
     op = op.strip()
     ref = ref.strip()
+    if op not in OPERATIONS:
+        raise ValueError(f"unknown graph operation {op!r} "
+                         f"(use {'/'.join(OPERATIONS)})")
     g = fx.graph
     if op == "dv":
         x = _resolve_vertex(fx, ref)
@@ -439,8 +431,6 @@ def _apply_op(fx: Fixture, spec: str) -> Fixture:
         vmap = VertexMap(g.n, g.n, range(g.n))
         return _remap_names(fx, g2, vmap, {})
     if op == "ae":
-        if "-" not in ref:
-            raise ValueError("ae needs an explicit u-v pair")
         u, v = _resolve_pair(fx, ref)
         if g.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) already present")
@@ -455,12 +445,11 @@ def _apply_op(fx: Fixture, spec: str) -> Fixture:
         merged = vmap.image(u)
         assert merged is not None
         return _remap_names(fx, g2, vmap, {f"y_{name}": merged})
-    if op == "se":
-        name, (u, v) = _resolve_edge(fx, ref)
-        g2, vmap = g.subdivide_edge(u, v)
-        assert vmap.new_vertex is not None
-        return _remap_names(fx, g2, vmap, {f"z_{name}": vmap.new_vertex})
-    raise ValueError(f"unknown graph operation {op!r} (use dv/de/ae/ce/se)")
+    assert op == "se"
+    name, (u, v) = _resolve_edge(fx, ref)
+    g2, vmap = g.subdivide_edge(u, v)
+    assert vmap.new_vertex is not None
+    return _remap_names(fx, g2, vmap, {f"z_{name}": vmap.new_vertex})
 
 
 def parse_graph_expression(expr: str) -> Fixture:

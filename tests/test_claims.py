@@ -43,6 +43,14 @@ def test_claims_matching_filters_conjunctively():
     assert claims_matching({"rule": "nope"}) == []
 
 
+def test_rule_tag_is_the_measured_rule():
+    for claim in CLAIMS:
+        rule = claim.measure[1] if len(claim.measure) > 1 else None
+        expected = rule if rule in ("zf", "psd", "pd") else None
+        assert claim.tags.get("rule") == expected, claim.id
+    assert claims_matching({"rule": "zf"})
+
+
 def test_claims_matching_empty_filter_returns_all():
     assert len(claims_matching({})) == len(CLAIMS)
 

@@ -136,6 +136,15 @@ def test_compute_rejects_ignored_options(capsys, argv, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("token", ["0_0", "+4", "\u0664"])
+def test_compute_set_takes_decimal_labels_only(capsys, token):
+    code, out, err = run(capsys, "compute", "--fixture", "P5", "--rule", "zf",
+                         "--parameter", "pt", "--set", token)
+    assert code == 2
+    assert f"unknown vertex reference {token!r}" in err
+    assert out == ""
+
+
 def test_compute_over_input_file(capsys, tmp_path):
     f = tmp_path / "batch.g6"
     f.write_text(format_graph6(path(4)) + "\n" + format_graph6(path(6)) + "\n")

@@ -260,6 +260,9 @@ def test_parse_rejects_nonsense():
         "P4/dv:banana",
         "corona:P3",      # needs two arguments
         "spider:2,2",     # too few legs
+        "path:1_0",       # integers are ASCII digits only
+        "P4/de:0-+1",
+        "P\u0663",
     ]:
         with pytest.raises(ValueError):
             parse_graph_expression(expr)
