@@ -271,6 +271,10 @@ def fixture(name: str) -> Fixture:
 
 
 _DIGITS = re.compile(r"[0-9]+")
+# The largest integer argument an expression may give.  Orders and sizes
+# far below it are already beyond exhaustive search; the limit only
+# stops a generator from allocating without bound.
+MAX_ARGUMENT = 1000
 _ATOMS = {"K": "complete", "P": "path", "C": "cycle", "E": "empty"}
 _ATOM = re.compile(f"([{''.join(_ATOMS)}])([0-9]+)")
 
@@ -320,7 +324,13 @@ OPERATIONS = {
 def _number(name: str, token: str) -> int:
     if not _DIGITS.fullmatch(token):
         raise ValueError(f"{name} takes integer arguments, got {token!r}")
-    return int(token)
+    # Leading zeros are stripped first, so a long token is refused
+    # before it is converted.
+    digits = token.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_ARGUMENT)) or int(digits) > MAX_ARGUMENT:
+        raise ValueError(f"{name} takes integer arguments up to "
+                         f"{MAX_ARGUMENT}, got {token}")
+    return int(digits)
 
 
 def _graph_arg(token: str) -> Graph:

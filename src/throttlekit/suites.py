@@ -15,6 +15,12 @@ runner that raises, an unknown suite and unparsable graph6 text each
 give a failing record whose check is the suite name.
 Failing records always include a witness precise enough to replay the
 violation with the ``compute`` command.
+
+The surgery suites (``prop3.2``, ``prop3.12``) read throttling values
+through ``_th``, which shares them across cases by isomorphism class:
+a process-level memo keyed by each graph's canonical key holds values
+only, never a witness, since the colex-least witness depends on the
+labeling.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import Callable, Optional
 from .graph import Graph, VertexMap, VertexSet, bits, mask_components
 from .graphio import format_graph6, parse_graph6
 from .families import MAX_ENUMERATION_ORDER, enumerate_graphs
+from .iso import invariant_key
 from .forcing import (
     INFINITY,
     Rule,
@@ -89,15 +96,32 @@ def _record(case_id: str, g6: str, check: str, violations: list[str],
     }
 
 
-def _th(cache: dict, g: Graph, rule: Rule, kind: ThrottleKind) -> Optional[int]:
-    """Throttling value, or None where the quantity is undefined."""
-    key = (g, rule, kind)
-    if key not in cache:
+# Throttling values (None where undefined) by (order, canonical key,
+# rule, kind), shared by every case in the process.  Values and
+# undefinedness depend only on the isomorphism class.  The memo is
+# cleared whole once it holds _MEMO_LIMIT entries; a full prop3.2 run at
+# order 7 holds about 22,500.
+_MEMO_LIMIT = 1 << 16
+_memo: dict = {}
+
+
+def _th(keys: dict, g: Graph, rule: Rule, kind: ThrottleKind) -> Optional[int]:
+    """Throttling value, or None where the quantity is undefined.
+
+    ``keys`` is the case's map from each graph to its class key, so the
+    canonical key is computed once per graph per case.
+    """
+    if g not in keys:
+        keys[g] = (g.n, invariant_key(g.n, g.adjacency))
+    key = (keys[g], rule, kind)
+    if key not in _memo:
+        if len(_memo) >= _MEMO_LIMIT:
+            _memo.clear()
         try:
-            cache[key] = throttling_number(rule, kind, g).value
+            _memo[key] = throttling_number(rule, kind, g).value
         except ValueError:
-            cache[key] = None
-    return cache[key]
+            _memo[key] = None
+    return _memo[key]
 
 
 # --- runners -----------------------------------------------------------
@@ -302,19 +326,19 @@ _PRODUCT_BOUNDS = (
 
 
 def _run_product_stability(g: Graph, payload: dict) -> Outcome:
-    cache: dict = {}
+    keys: dict = {}
     ops = _operations(g)
     violations = []
     for rule in (_PD, _PSD):
         for kind, kn in ((_STAR, "no-cost"), (_X, "initial-cost")):
-            a = _th(cache, g, rule, kind)
+            a = _th(keys, g, rule, kind)
             if a is None:
                 continue
             for op, u, v, h, _ in ops:
                 label, lo, hi = next(
                     row[3:] for row in _PRODUCT_BOUNDS if row[0] == op
                     and row[1] in (None, rule) and row[2] in (None, kind))
-                b = _th(cache, h, rule, kind)
+                b = _th(keys, h, rule, kind)
                 if b is None or (lo * a <= 2 * b
                                  and (hi is None or 2 * b <= hi * a)):
                     continue
@@ -332,13 +356,13 @@ _ONE_STEP_BOUNDS = {"dv": ("(1)", -1, 0), "de": ("(2)", -1, 1),
 
 
 def _run_one_step_stability(g: Graph, payload: dict) -> Outcome:
-    cache: dict = {}
-    t = _th(cache, g, _ZF, _STAR)
+    keys: dict = {}
+    t = _th(keys, g, _ZF, _STAR)
     violations = []
     # Vertex deletions are reported first (a stable sort keeps the rest).
     for op, u, v, h, _ in sorted(_operations(g), key=lambda o: o[0] != "dv"):
         label, lo, hi = _ONE_STEP_BOUNDS[op]
-        b = _th(cache, h, _ZF, _STAR)
+        b = _th(keys, h, _ZF, _STAR)
         if b is not None and not t + lo <= b <= t + hi:
             violations.append(f"{label} {_DOING[op].format(u=u, v=v)} gives "
                               f"{b}, allowed [{t + lo},{t + hi}]")

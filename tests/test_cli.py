@@ -1,6 +1,12 @@
 """End-to-end command-line behavior through cli.main."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +115,30 @@ def test_compute_rejects_unknown_fixture(capsys):
                        "--fixture", "borogove:4")
     assert code == 2
     assert "error:" in err
+
+
+def _limit_memory():
+    cap = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_compute_refuses_huge_integer_argument_fast():
+    # Without the argument limit the path generator builds a list of
+    # about 10^11 edges; the child runs under a 1 GiB address-space cap
+    # so such a regression fails here instead of exhausting memory.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "throttlekit", "compute", "--rule", "zf",
+         "--kind", "sum", "--fixture", "path:99999999999"],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert "path takes integer arguments up to 1000" in proc.stderr
+    assert time.perf_counter() - start < 20
 
 
 def test_compute_rejects_bad_graph6(capsys):

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from throttlekit.families import (
+    MAX_ARGUMENT,
     MAX_ENUMERATION_ORDER,
     PARAMETRIC_FIXTURES,
     STATIC_FIXTURES,
@@ -246,6 +247,16 @@ def test_corona_leaf_count_error_names_the_form():
     with pytest.raises(ValueError,
                        match="^corona takes integer arguments, got 'x'$"):
         parse_graph_expression("corona:P3,x")
+
+
+def test_integer_arguments_are_bounded():
+    assert parse_graph_expression(f"path:{MAX_ARGUMENT}").graph.n == MAX_ARGUMENT
+    assert parse_graph_expression("path:0004").graph.n == 4
+    for expr in (f"path:{MAX_ARGUMENT + 1}", "path:99999999999",
+                 "P" + "9" * 5000, f"spider:2,2,{MAX_ARGUMENT + 1}"):
+        with pytest.raises(ValueError,
+                           match=f"takes integer arguments up to {MAX_ARGUMENT}"):
+            parse_graph_expression(expr)
 
 
 def test_parse_rejects_nonsense():

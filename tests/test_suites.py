@@ -1,16 +1,21 @@
 """Property suite machinery: registry, determinism, and report shape."""
 
 import json
+import random
 import time
 import types
+from itertools import permutations
 
 import pytest
 
 from throttlekit import report as report_module
 from throttlekit import suites
+from throttlekit.forcing import Rule
+from throttlekit.graph import Graph
 from throttlekit.graphio import parse_graph6
 from throttlekit.report import Report, resolve_workers, run_claims, run_suite
 from throttlekit.suites import SUITES, build_cases, run_case
+from throttlekit.throttling import ThrottleKind
 
 from .test_families import CONNECTED_ISO_COUNTS, ISO_COUNTS
 
@@ -88,6 +93,80 @@ def test_worker_count_does_not_change_results():
     serial = run_suite("pt-monotone", nmax=4, workers=1)
     parallel = run_suite("pt-monotone", nmax=4, workers=4)
     assert serial.records == parallel.records
+    # Each worker keeps its own value memo; only its hit rate differs.
+    serial = run_suite("prop3.2", nmax=5, workers=1)
+    parallel = run_suite("prop3.2", nmax=5, workers=2)
+    assert serial.records == parallel.records
+
+
+def _relabel(g: Graph, perm: list) -> Graph:
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _direct(rule, kind, g):
+    try:
+        return suites.throttling_number(rule, kind, g).value
+    except ValueError:
+        return None
+
+
+def test_relabeled_graphs_hit_the_value_memo(monkeypatch):
+    monkeypatch.setattr(suites, "_memo", {})
+    real, solved = suites.throttling_number, []
+    real_key, keyed = suites.invariant_key, []
+
+    def counted(rule, kind, g):
+        solved.append(g)
+        return real(rule, kind, g)
+
+    def counted_key(n, adj):
+        keyed.append(adj)
+        return real_key(n, adj)
+
+    monkeypatch.setattr(suites, "throttling_number", counted)
+    monkeypatch.setattr(suites, "invariant_key", counted_key)
+    g = Graph(6, [(0, 3), (0, 4), (0, 5), (1, 4), (2, 5), (3, 5)])
+    # A trivial automorphism group: every relabeling is a new graph.
+    assert len({_relabel(g, p) for p in permutations(range(6))}) == 720
+    perm = list(range(6))
+    random.Random(17).shuffle(perm)
+    h = _relabel(g, perm)
+    assert h != g
+    pairs = [(rule, kind) for rule in Rule for kind in ThrottleKind]
+    keys: dict = {}
+    values = [suites._th(keys, g, rule, kind) for rule, kind in pairs]
+    assert len(solved) == len(pairs) and len(keyed) == 1
+    keys = {}
+    assert [suites._th(keys, h, rule, kind) for rule, kind in pairs] == values
+    assert len(solved) == len(pairs) and len(keyed) == 2
+    assert values == [real(rule, kind, h).value for rule, kind in pairs]
+    # Undefined values are memoized per class too.
+    star = ThrottleKind.PRODUCT_NO_INITIAL_COST
+    edgeless = Graph(4, [])
+    for _ in range(2):
+        assert suites._th({}, edgeless, Rule.STANDARD, star) is None
+    assert solved.count(edgeless) == 1
+
+
+@pytest.mark.parametrize("name", ["prop3.2", "prop3.12"])
+def test_memo_state_does_not_change_records(monkeypatch, name):
+    cases = build_cases(name, nmax=5)
+    monkeypatch.setattr(suites, "_memo", {})
+    cold = [run_case(case) for case in cases]
+    # Warm, every answer is checked against a direct computation.
+    real_th = suites._th
+
+    def checked(keys, g, rule, kind):
+        value = real_th(keys, g, rule, kind)
+        assert value == _direct(rule, kind, g), (g, rule, kind)
+        return value
+
+    monkeypatch.setattr(suites, "_th", checked)
+    warm = [run_case(case) for case in cases]
+    monkeypatch.setattr(suites, "_th", real_th)
+    monkeypatch.setattr(suites, "_memo", {})
+    backward = [run_case(case) for case in reversed(cases)][::-1]
+    assert cold == warm == backward
 
 
 def test_budget_sampling_is_deterministic():
@@ -274,6 +353,9 @@ def test_failure_witnesses_are_pinned(monkeypatch):
     monkeypatch.setattr(suites, "pt_table", lambda rule, adj, n: tuple(
         m % 5 + n % 2 for m in range(1 << n)))
     monkeypatch.setattr(suites, "throttling_number", bumped)
+    # A fresh value memo: values memoized by earlier tests would skip the
+    # bumped throttling, and the bumped ones must not outlive this test.
+    monkeypatch.setattr(suites, "_memo", {})
     for (name, item), expected in PINNED_WITNESSES.items():
         payload = {"graph6": "Bg", "rule": "pd" if item == 5 else "zf"}
         if item is not None:
