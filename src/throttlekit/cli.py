@@ -137,14 +137,12 @@ def _compute_one(label: str, fx: Fixture, args) -> dict:
         else:
             result = throttling_number(r, kind, g, with_table=args.per_k)
             record.update(result.to_dict())
-            value = result.value
     if rule is not None:
         record["rule"] = rule.value
 
     if args.trace:
         trace = propagate(need_rule(), g, initial)
         record["trace"] = trace.to_dict()
-    record.setdefault("value", _json_time(value))
     return record
 
 

@@ -2,9 +2,9 @@
 
 Graphs are value objects: labels are 0..n-1, the adjacency structure is a
 tuple of bitmasks, and every derived graph (deletion, contraction,
-subdivision, induced subgraph) is a new object together with a relabeling
-record.  Everything here is exact and sized for exhaustive search on small
-orders; nothing is sampled or approximate.
+subdivision, induced subgraph) is a new object, computed from the parent's
+adjacency rows, together with a relabeling record.  Everything here is
+exact and sized for exhaustive search on small orders; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -26,6 +26,12 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
+
+
+def _without_vertex(rows: Iterable[int], x: int) -> list[int]:
+    """The rows but row x, less bit x, with the bits above x moved down."""
+    low = (1 << x) - 1
+    return [r & low | r >> 1 & ~low for w, r in enumerate(rows) if w != x]
 
 
 def mask_components(adj: tuple[int, ...], sub: int) -> list[int]:
@@ -358,26 +364,28 @@ class Graph:
         if isinstance(members, VertexSet):
             if members.order != self._n:
                 raise ValueError("set order does not match the graph")
-            keep = list(members)
         else:
-            keep = sorted(set(members))
-            for v in keep:
-                self._check_vertex(v)
-        index = {v: i for i, v in enumerate(keep)}
-        new_edges = [(index[u], index[v]) for u, v in self.edges()
-                     if u in index and v in index]
-        images: list[Optional[int]] = [index.get(v) for v in range(self._n)]
-        return Graph(len(keep), new_edges), VertexMap(self._n, len(keep), images)
+            members = VertexSet(self._n, sorted(set(members)))
+        rows = list(self._adj)
+        for x in reversed((~members).members):  # top down: lower labels hold
+            rows = _without_vertex(rows, x)
+        images: list[Optional[int]] = [None] * self._n
+        for i, v in enumerate(members):
+            images[v] = i
+        return (Graph.from_adjacency(tuple(rows)),
+                VertexMap(self._n, len(rows), images))
 
     def delete_vertex(self, x: int) -> tuple[Graph, VertexMap]:
         self._check_vertex(x)
-        keep = [v for v in range(self._n) if v != x]
-        return self.induced_subgraph(keep)
+        return self.induced_subgraph(
+            VertexSet.from_mask(self._n, self.full_mask ^ 1 << x))
 
     def delete_edge(self, u: int, v: int) -> Graph:
         self._check_edge(u, v)
-        new_edges = [e for e in self.edges() if e != (min(u, v), max(u, v))]
-        return Graph(self._n, new_edges)
+        rows = list(self._adj)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        return Graph.from_adjacency(tuple(rows))
 
     def contract_edge(self, u: int, v: int) -> tuple[Graph, VertexMap]:
         """Merge the endpoints of an edge; loops and parallels are suppressed.
@@ -387,21 +395,12 @@ class Graph:
         """
         self._check_edge(u, v)
         keep, drop = min(u, v), max(u, v)
-
-        def relabel(x: int) -> int:
-            return x - 1 if x > drop else x
-
-        images: list[Optional[int]] = [
-            relabel(keep) if x == drop else relabel(x) for x in range(self._n)
-        ]
-        new_edges = set()
-        for a, b in self.edges():
-            ia, ib = images[a], images[b]
-            if ia == ib:
-                continue
-            new_edges.add((min(ia, ib), max(ia, ib)))
+        rows = [r | 1 << keep if r >> drop & 1 else r for r in self._adj]
+        rows[keep] = (rows[keep] | rows[drop]) & ~(1 << keep)
+        images = [x - 1 if x > drop else x for x in range(self._n)]
+        images[drop] = keep
         return (
-            Graph(self._n - 1, sorted(new_edges)),
+            Graph.from_adjacency(tuple(_without_vertex(rows, drop))),
             VertexMap(self._n, self._n - 1, images, merged_pair=(keep, drop)),
         )
 
@@ -409,10 +408,11 @@ class Graph:
         """Replace an edge by a path of length two through a new vertex n."""
         self._check_edge(u, v)
         z = self._n
-        new_edges = [e for e in self.edges() if e != (min(u, v), max(u, v))]
-        new_edges += [(u, z), (v, z)]
+        rows = list(self._adj) + [1 << u | 1 << v]
+        rows[u] ^= 1 << v | 1 << z
+        rows[v] ^= 1 << u | 1 << z
         return (
-            Graph(self._n + 1, new_edges),
+            Graph.from_adjacency(tuple(rows)),
             VertexMap(self._n, self._n + 1, range(self._n), new_vertex=z),
         )
 

@@ -204,3 +204,51 @@ def naive_matched_sum(g):
                 all(len(nbrs[v] & half) == 1 for v in other):
             return True
     return False
+
+
+# Graph surgery through the public edge list: each reference returns the
+# derived graph's adjacency rows, the image of every source vertex, the
+# merged pair and the new vertex, as the package's VertexMap records them.
+
+def _rows(n, edges):
+    rows = [0] * n
+    for a, b in edges:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return tuple(rows)
+
+
+def _relabelled(g, images):
+    """Edges between surviving vertices under images; merged ends drop."""
+    return [(images[a], images[b]) for a, b in g.edges()
+            if images[a] is not None and images[b] is not None
+            and images[a] != images[b]]
+
+
+def naive_induced_subgraph(g, members):
+    keep = sorted(set(members))
+    index = {v: i for i, v in enumerate(keep)}
+    images = [index.get(v) for v in range(g.n)]
+    return _rows(len(keep), _relabelled(g, images)), images, None, None
+
+
+def naive_delete_vertex(g, x):
+    return naive_induced_subgraph(g, [v for v in range(g.n) if v != x])
+
+
+def naive_delete_edge(g, u, v):
+    """Adjacency rows only: edge deletion returns no vertex map."""
+    return _rows(g.n, [e for e in g.edges() if set(e) != {u, v}])
+
+
+def naive_contract_edge(g, u, v):
+    keep, drop = min(u, v), max(u, v)
+    images = [x - 1 if x > drop else x for x in range(g.n)]
+    images[drop] = keep
+    return _rows(g.n - 1, _relabelled(g, images)), images, (keep, drop), None
+
+
+def naive_subdivide_edge(g, u, v):
+    z = g.n
+    kept = [e for e in g.edges() if set(e) != {u, v}]
+    return _rows(z + 1, kept + [(u, z), (v, z)]), list(range(z)), None, z

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from throttlekit.families import enumerate_graphs
 from throttlekit.graph import (
     Graph,
     InvalidVertexError,
@@ -11,6 +12,7 @@ from throttlekit.graph import (
     mask_components,
 )
 
+from . import oracles
 from .strategies import graphs, graphs_with_edge, graphs_with_vertex
 
 
@@ -165,6 +167,37 @@ def test_vertex_map_set_transport():
     assert moved.members == (0, 2)
     back = vmap.preimage_set(h.vertex_set([2]))
     assert back.members == (2, 3)
+
+
+def _derived(g, h, vmap):
+    """A derived graph and its map in the edge-list reference's terms."""
+    assert (vmap.source_order, vmap.target_order) == (g.n, h.n)
+    return (h.adjacency, [vmap.image(x) for x in range(g.n)],
+            vmap.merged_pair, vmap.new_vertex)
+
+
+def test_surgery_matches_edge_list_reference_to_order_6():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            for x in range(n):
+                assert _derived(g, *g.delete_vertex(x)) == \
+                    oracles.naive_delete_vertex(g, x)
+            for a, b in g.edges():
+                for u, v in ((a, b), (b, a)):
+                    assert g.delete_edge(u, v).adjacency == \
+                        oracles.naive_delete_edge(g, u, v)
+                    assert _derived(g, *g.contract_edge(u, v)) == \
+                        oracles.naive_contract_edge(g, u, v)
+                    assert _derived(g, *g.subdivide_edge(u, v)) == \
+                        oracles.naive_subdivide_edge(g, u, v)
+            for mask in range(1 << n):
+                members = list(bits(mask))
+                want = oracles.naive_induced_subgraph(g, members)
+                as_set = VertexSet.from_mask(n, mask)
+                assert _derived(g, *g.induced_subgraph(as_set)) == want
+                # Unsorted, with a repeat: the list form sorts and dedupes.
+                as_list = members[::-1] + members[:1]
+                assert _derived(g, *g.induced_subgraph(as_list)) == want
 
 
 @given(graphs(max_n=8))
