@@ -392,18 +392,6 @@ def _planes(t: int, j: int) -> tuple[int, ...]:
         + (((1 << comb(t - 1, j - 1)) - 1) << shift,)
 
 
-def _unrank(high: int, t: int, j: int, index: int) -> int:
-    """Mask of the block's ``index``-th set."""
-    mask = high
-    for c in range(t - 1, -1, -1):
-        below = comb(c, j)
-        if index >= below:
-            mask |= 1 << c
-            index -= below
-            j -= 1
-    return mask
-
-
 def _block_standard_step(nbrs: tuple[tuple[int, ...], ...],
                          filled: list[int], unfilled: list[int],
                          split: Optional[list[int]] = None,
@@ -508,13 +496,13 @@ def _block_pt(rule: Rule, nbrs: tuple[tuple[int, ...], ...], high: int,
     """Propagation of every set in block (high, t, j) at once, the rule's
     block steps (``_BLOCK_STEPS``) taking one step for all of them.
 
-    Returns (pt, index) for the first set by index among those of least
+    Returns (pt, mask) for the first set by index among those of least
     time (``least``) or among all that complete, or None when no set
     completes within ``cap`` steps.
     """
     n = len(nbrs)
     ones = (1 << comb(t, j)) - 1
-    filled = list(_planes(t, j)) + \
+    start = filled = list(_planes(t, j)) + \
         [ones if high >> v & 1 else 0 for v in range(t, n)]
     done = reduce(and_, filled, ones)
     history = [done]
@@ -531,7 +519,8 @@ def _block_pt(rule: Rule, nbrs: tuple[tuple[int, ...], ...], high: int,
         return None
     low = done & -done
     pt = next(s for s, d in enumerate(history) if d & low)
-    return pt, low.bit_length() - 1
+    # The set is the vertices whose start plane holds its bit.
+    return pt, sum(1 << v for v, plane in enumerate(start) if plane & low)
 
 
 def _sized_scan(rule: Rule, adj: tuple[int, ...], n: int, k: int,
@@ -555,8 +544,8 @@ def _sized_scan(rule: Rule, adj: tuple[int, ...], n: int, k: int,
             hit = _block_pt(rule, nbrs, *block, cap, slope > 0)
             if hit is None:
                 continue
-            t, index = hit
-            best = (slope * t + offset, t, _unrank(*block, index))
+            t, mask = hit
+            best = (slope * t + offset, t, mask)
             if best[0] == floor:
                 break
             cap = t - 1

@@ -2,8 +2,9 @@
 
 The graph6 codec follows the standard byte encoding exactly: an order
 field ``N(n)``, then the upper triangle of the adjacency matrix read
-column by column, packed into 6-bit groups offset by 63.  Parse errors
-name the byte offset (or line) that caused them.
+column by column, in 6-bit groups offset by 63.  Decoding unpacks the
+groups as base64, then sets both bits of each edge in the rows.  Parse
+errors name the byte offset (or line) that caused them.
 
 The edge-list format is one integer line holding the order, then one
 ``u v`` line per edge.  Blank lines and ``#`` comments are skipped, and
@@ -14,6 +15,7 @@ encodes, are refused before anything is allocated.
 
 from __future__ import annotations
 
+import binascii
 import os
 from typing import Iterable, Iterator, Optional
 
@@ -22,6 +24,10 @@ from .graph import Graph
 GRAPH6_HEADER = ">>graph6<<"
 # The largest order the four-byte N(n) field of format_graph6 encodes.
 _MAX_ORDER = 258047
+# graph6 data bytes are 6-bit groups plus 63: base64 in another alphabet.
+_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)),
+                             b"ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                             b"abcdefghijklmnopqrstuvwxyz0123456789+/")
 
 
 class FormatError(ValueError):
@@ -33,14 +39,24 @@ class FormatError(ValueError):
 
     def __init__(self, message: str, *, offset: Optional[int] = None,
                  line: Optional[int] = None) -> None:
-        where = ""
-        if offset is not None:
-            where = f" (byte offset {offset})"
-        elif line is not None:
-            where = f" (line {line})"
+        where = (f" (byte offset {offset})" if offset is not None
+                 else f" (line {line})" if line is not None else "")
         super().__init__(message + where)
         self.offset = offset
         self.line = line
+
+
+def _unpack(data: bytes, start: int, stop: int) -> int:
+    """The 6-bit groups of ``data[start:stop]`` as one int, the first
+    most significant; the first byte outside 63..126 is refused."""
+    for offset in range(start, stop):
+        if not 63 <= data[offset] <= 126:
+            raise FormatError(f"invalid graph6 byte {data[offset]}",
+                              offset=offset)
+    # Zero groups fill the last base64 quad and are shifted off.
+    fill = -(stop - start) % 4
+    packed = data[start:stop].translate(_TO_BASE64) + b"A" * fill
+    return int.from_bytes(binascii.a2b_base64(packed), "big") >> 6 * fill
 
 
 def _parse_graph6_order(data: bytes, pos: int) -> tuple[int, int]:
@@ -58,59 +74,42 @@ def _parse_graph6_order(data: bytes, pos: int) -> tuple[int, int]:
         count, start = 3, pos + 1
     if start + count > len(data):
         raise FormatError("truncated graph6 order field", offset=len(data))
-    n = 0
-    for i in range(start, start + count):
-        b = data[i]
-        if not 63 <= b <= 126:
-            raise FormatError(f"invalid graph6 byte {b}", offset=i)
-        n = n << 6 | (b - 63)
-    return n, start + count
+    return _unpack(data, start, start + count), start + count
 
 
 def parse_graph6(text: str | bytes) -> Graph:
     """Decode a single graph6 record, with or without its header."""
-    if isinstance(text, str):
+    data = text.strip()
+    if isinstance(data, str):
         try:
-            data = text.strip().encode("ascii")
+            data = data.encode("ascii")
         except UnicodeEncodeError as exc:
             raise FormatError(f"graph6 data is not ascii: {exc}") from None
-    else:
-        data = text.strip()
     # Offsets count from the start of the record, header included.
     start = len(GRAPH6_HEADER) if data.startswith(
         GRAPH6_HEADER.encode("ascii")) else 0
     n, pos = _parse_graph6_order(data, start)
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
+    nbytes = (n * (n - 1) // 2 + 5) // 6
     if len(data) - pos != nbytes:
-        raise FormatError(
-            f"graph6 record for order {n} needs {nbytes} adjacency bytes, "
-            f"found {len(data) - pos}",
-            offset=len(data),
-        )
-    edges = []
-    value = 0
-    valid_bits = 0
-    byte_pos = pos
-    i, j = 0, 1
-    for _ in range(nbits):
-        if valid_bits == 0:
-            b = data[byte_pos]
-            if not 63 <= b <= 126:
-                raise FormatError(f"invalid graph6 byte {b}", offset=byte_pos)
-            byte_pos += 1
-            value = b - 63
-            valid_bits = 6
-        valid_bits -= 1
-        if value >> valid_bits & 1:
-            edges.append((i, j))
-        i += 1
-        if i == j:
-            i, j = 0, j + 1
-    if valid_bits and value & ((1 << valid_bits) - 1):
+        raise FormatError(f"graph6 record for order {n} needs {nbytes} "
+                          f"adjacency bytes, found {len(data) - pos}",
+                          offset=len(data))
+    value = _unpack(data, pos, len(data))
+    adj = [0] * n
+    shift = 6 * nbytes
+    for j in range(1, n):
+        # Column j holds the bits of i = 0..j-1, the first the highest.
+        shift -= j
+        column = value >> shift & ((1 << j) - 1)
+        while column:
+            i = j - column.bit_length()
+            column ^= 1 << (j - 1 - i)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    if value & ((1 << shift) - 1):
         raise FormatError("nonzero padding bits in graph6 record",
-                          offset=byte_pos - 1)
-    return Graph(n, edges)
+                          offset=len(data) - 1)
+    return Graph.from_adjacency(tuple(adj))
 
 
 def format_graph6(g: Graph, *, header: bool = False) -> str:

@@ -4,11 +4,15 @@ One individualization-refinement search (McKay & Piperno, "Practical
 graph isomorphism II", 2014) gives two answers.  Its least leaf
 certificate is ``invariant_key``, a complete canonical key: equal
 exactly for isomorphic graphs.  That leaf also orders the vertices, so
-``find_isomorphism`` maps one graph's order onto the other's.
+``find_isomorphism`` maps one graph's order onto the other's.  The
+search is one recursive function that takes the best leaf so far and
+returns the new best, so no call leaves a cycle for the collector.
 """
 from __future__ import annotations
 
 from .graph import Graph, bits
+
+_Leaf = tuple[tuple[int, ...], list[int]]  # (certificate, cells in order)
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> None:
@@ -60,54 +64,50 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> None:
             i += 1
 
 
-def _canonical(n: int, adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
-    """The least leaf certificate and that leaf's cells, in order.
-
-    The unit partition is refined to an equitable one; the search then
-    individualizes each vertex of the first smallest non-singleton cell
-    in turn (skipping twins of vertices already tried there, whose
-    subtrees are images under an automorphism) and refines again, down
-    to discrete partitions.  A leaf's i-th cell is the vertex it puts at
-    position i; its certificate is the adjacency rows in that order.
+def _search(adj: tuple[int, ...], cells: list[int], best: _Leaf | None) -> _Leaf:
+    """The least of ``best`` and the leaves below ``cells``, the first
+    of equal certificates winning.  Each vertex of the first smallest
+    non-singleton cell is individualized in turn (skipping twins of those
+    tried, whose subtrees are automorphic images) and refined again.  A
+    leaf's i-th cell is the vertex it puts at position i; its certificate
+    is the adjacency rows in that order.
     """
-    best: tuple[tuple[int, ...], list[int]] | None = None
+    n = len(adj)
+    if len(cells) == n:
+        image = [0] * n
+        for i, cell in enumerate(cells):
+            image[cell.bit_length() - 1] = 1 << i
+        rows = []
+        for cell in cells:
+            row = 0
+            rest = adj[cell.bit_length() - 1]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row |= image[low.bit_length() - 1]
+            rows.append(row)
+        cert = tuple(rows)
+        return (cert, cells) if best is None or cert < best[0] else best
+    target = min((c.bit_count(), i) for i, c in enumerate(cells)
+                 if c & (c - 1))[1]
+    cell = cells[target]
+    tried: list[int] = []
+    for v in bits(cell):
+        if any(adj[v] & ~(1 << u) == adj[u] & ~(1 << v) for u in tried):
+            continue
+        tried.append(v)
+        child = cells[:target] + [1 << v, cell ^ (1 << v)] + cells[target + 1:]
+        _refine(adj, child, [1 << v])
+        best = _search(adj, child, best)
+    return best
 
-    def search(cells: list[int]) -> None:
-        nonlocal best
-        if len(cells) == n:
-            image = [0] * n
-            for i, cell in enumerate(cells):
-                image[cell.bit_length() - 1] = 1 << i
-            rows = []
-            for cell in cells:
-                row = 0
-                rest = adj[cell.bit_length() - 1]
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    row |= image[low.bit_length() - 1]
-                rows.append(row)
-            cert = tuple(rows)
-            if best is None or cert < best[0]:
-                best = cert, cells
-            return
-        target = min((c.bit_count(), i) for i, c in enumerate(cells)
-                     if c & (c - 1))[1]
-        cell = cells[target]
-        tried: list[int] = []
-        for v in bits(cell):
-            if any(adj[v] & ~(1 << u) == adj[u] & ~(1 << v) for u in tried):
-                continue
-            tried.append(v)
-            child = cells[:target] + [1 << v, cell ^ (1 << v)] + cells[target + 1:]
-            _refine(adj, child, [1 << v])
-            search(child)
 
+def _canonical(n: int, adj: tuple[int, ...]) -> _Leaf:
+    """The least leaf below the unit partition, refined to equitable."""
     full = (1 << n) - 1
     cells = [full] if n else []
     _refine(adj, cells, [full])
-    search(cells)
-    return best
+    return _search(adj, cells, None)
 
 
 def invariant_key(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:

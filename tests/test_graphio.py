@@ -72,6 +72,9 @@ def test_graph6_rejects_garbage():
     ("CAB", 3, 13),  # one adjacency byte too many
     ("A@", 1, 11),  # nonzero padding bits
     ("~", 1, 11),  # truncated order field
+    ("G??" + chr(127) + "??", 3, 13),  # invalid byte mid-record
+    ("G??" + chr(127) + "?" + chr(127), 3, 13),  # the first bad byte wins
+    ("A" + chr(127), 1, 11),  # invalid byte beats its nonzero padding
 ])
 def test_graph6_error_offsets(record, bare, headed):
     for text, offset in ((record, bare), (">>graph6<<" + record, headed)):

@@ -1,5 +1,6 @@
 """Isomorphism checks cross-validated against networkx."""
 
+import gc
 import random
 
 import networkx as nx
@@ -7,7 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from throttlekit.families import complete, cycle, empty_graph, path, star
+from throttlekit.families import (
+    complete,
+    cycle,
+    empty_graph,
+    enumerate_graphs,
+    parse_graph_expression,
+    path,
+    star,
+)
 from throttlekit.graph import Graph
 from throttlekit.iso import are_isomorphic, find_isomorphism, invariant_key
 
@@ -130,3 +139,20 @@ def test_agreement_with_networkx(g, h):
 @given(graphs(max_n=7))
 def test_self_isomorphism(g):
     assert are_isomorphic(g, g)
+
+
+def test_search_leaves_no_garbage():
+    # Every object a key or a map builds is freed by reference counting
+    # when the call returns, so the cyclic collector finds nothing.
+    gs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    gs += [parse_graph_expression(e).graph
+           for e in ("book:3", "spider:2,2,1,1", "cycle:8")]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in gs:
+            invariant_key(g.n, g.adjacency)
+            assert find_isomorphism(g, g) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
