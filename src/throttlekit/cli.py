@@ -92,6 +92,11 @@ def _check_compute_options(args) -> None:
         raise ValueError("--per-k requires --kind without --set")
     if args.trace and not args.set:
         raise ValueError("--trace requires --set")
+    # gamma uses no rule, and k1 is the standard one-step forcing number.
+    if args.rule and (args.parameter == "gamma" or
+                      (args.parameter == "k1" and args.rule != "zf")):
+        raise ValueError(f"--parameter {args.parameter} does not apply "
+                         f"to --rule {args.rule}")
 
 
 def _compute_one(label: str, fx: Fixture, args) -> dict:

@@ -34,14 +34,14 @@ the same for the standard and PSD rules, and for power domination the
 domination step followed by the standard one.  ``_steps`` gives the
 same pair as mask steps for one set at a time, and ``_pt``,
 ``propagate`` and ``step`` take the first, then the later.  The PSD
-step adds reach planes to the standard one: where a filled vertex sees
-two or more unfilled neighbors, the component of each of them is
-flooded along the edges of the unfilled part, in just the sets that
-need it, and the standard step runs again with the flood as the
-unfilled part, so the vertex forces its only neighbor in the flood.  A
-block costs more than it saves on a few sets, so a PSD or power
-domination size with fewer than ``BLOCK_MIN_SETS`` sets is scanned one
-set at a time with ``_pt``.
+step adds component planes to the standard one: in the sets where a
+filled vertex sees two or more unfilled neighbors, the unfilled part is
+flooded one component rank at a time, every set's next component grown
+at once from its lowest vertex not yet flooded, and the standard step
+runs again with that component as the unfilled part, so the vertex
+forces its only neighbor in it.  A block costs more than it saves on a
+few sets, so a PSD or power domination size with fewer than
+``BLOCK_MIN_SETS`` sets is scanned one set at a time with ``_pt``.
 
 The chain floors make the scan skip work: under the standard rule a
 size-k start set is k forcing chains, each growing by at most one vertex
@@ -70,7 +70,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb
-from operator import and_
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .graph import Graph, VertexSet, bits, mask_components
@@ -428,44 +428,40 @@ def _block_psd_step(nbrs: tuple[tuple[int, ...], ...],
 
     The standard step covers every filled vertex with one unfilled
     neighbor.  A vertex split between two or more is judged per component
-    of the unfilled part: in each set, the component of each unfilled
-    neighbor of a split vertex is flooded once, from the first such vertex
-    it holds, and the split vertices take a standard step with the flood
-    as the unfilled part, so each forces its only neighbor in it.
+    of the unfilled part.  In the sets with a split vertex, the components
+    are flooded rank by rank, all sets at once: each set's next component
+    grows from its lowest vertex not yet flooded, and the split vertices
+    take a standard step with it as the unfilled part, so each forces its
+    only neighbor in it.  A block takes as many floods as the most
+    components of any one set with a split vertex.
     """
-    n = len(nbrs)
-    split = [0] * n
+    split = [0] * len(nbrs)
     new = _block_standard_step(nbrs, filled, unfilled, split)
-    if not any(split):
-        return new
-    flooded = [0] * n
-    for r, around in enumerate(nbrs):
-        source = 0
-        for u in around:
-            source |= split[u]
-        source &= unfilled[r] & ~flooded[r]
-        if not source:
-            continue
-        # comp[v]: the sets of source in which v is in r's component;
-        # front holds the bits each vertex gained in the last round.
-        comp = [0] * n
-        comp[r] = source
-        front = {r: source}
-        while front:
-            reached: dict[int, int] = {}
-            for x, gained in front.items():
-                for v in nbrs[x]:
-                    reached[v] = reached.get(v, 0) | gained
-            front = {}
-            for v, gained in reached.items():
-                gained &= unfilled[v] & ~comp[v]
-                if gained:
-                    comp[v] |= gained
-                    front[v] = gained
-        for v, c in enumerate(comp):
-            flooded[v] |= c
-        _block_standard_step(nbrs, [s & source for s in split], comp,
-                             new=new)
+    some = reduce(or_, split, 0)
+    left = [x & some for x in unfilled]
+    while any(left):
+        # Seed each set at its lowest vertex still left, then grow the
+        # seeds along the left vertices until nothing changes.
+        comp, below = [], 0
+        for x in left:
+            comp.append(x & ~below)
+            below |= x
+        grew = True
+        while grew:
+            grew = False
+            for v, around in enumerate(nbrs):
+                here = left[v]
+                if not here:
+                    continue
+                reach = comp[v]
+                for w in around:
+                    reach |= comp[w]
+                reach &= here
+                if reach != comp[v]:
+                    comp[v] = reach
+                    grew = True
+        _block_standard_step(nbrs, split, comp, new=new)
+        left = [x & ~c for x, c in zip(left, comp)]
     return new
 
 

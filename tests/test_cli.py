@@ -42,6 +42,15 @@ def test_compute_gamma_on_spider(capsys):
     assert out.strip() == "3"
 
 
+def test_compute_k1_is_the_standard_one_step_number(capsys):
+    # k1 is taken under the standard rule alone, so --rule zf may name it.
+    code, out, _ = run(capsys, "compute", "--fixture", "spider:1,1,1,1",
+                       "--rule", "zf", "--parameter", "k1", "--json")
+    assert code == 0
+    record = json.loads(out)["records"][0]
+    assert (record["rule"], record["value"]) == ("zf", 4)
+
+
 def test_compute_pt_of_named_set_prints_infinity(capsys):
     code, out, _ = run(capsys, "compute", "--rule", "pd", "--parameter", "pt",
                        "--set", "c", "--fixture", "fig4_twin")
@@ -158,6 +167,14 @@ def test_compute_rejects_bad_graph6(capsys):
     (("--parameter", "k1", "--set", "0,1"), "--parameter k1"),
     (("--rule", "zf", "--parameter", "number", "--per-k"), "--per-k"),
     (("--rule", "zf", "--kind", "sum", "--set", "0", "--per-k"), "--per-k"),
+    (("--rule", "psd", "--parameter", "k1"),
+     "--parameter k1 does not apply to --rule psd"),
+    (("--rule", "pd", "--parameter", "k1"),
+     "--parameter k1 does not apply to --rule pd"),
+    (("--rule", "zf", "--parameter", "gamma"),
+     "--parameter gamma does not apply to --rule zf"),
+    (("--rule", "psd", "--parameter", "gamma"),
+     "--parameter gamma does not apply to --rule psd"),
 ])
 def test_compute_rejects_ignored_options(capsys, argv, message):
     code, out, err = run(capsys, "compute", "--fixture", "path:5", *argv)

@@ -15,6 +15,7 @@ from throttlekit.families import (
     enumerate_graphs,
     fixture,
     path,
+    spider,
     star,
 )
 from throttlekit.forcing import (
@@ -42,7 +43,7 @@ from throttlekit.forcing import (
     pt_table,
     step,
 )
-from throttlekit.graph import Graph
+from throttlekit.graph import Graph, mask_components
 
 from . import oracles
 from .strategies import graphs
@@ -221,6 +222,86 @@ def test_psd_block_step_matches_psd_step_to_order_6():
                         f"{g!r} from {sorted(members)}"
                     assert got == sum(1 << v for v in oracles.psd_step(
                         nbrs, n, members)), f"{g!r} from {sorted(members)}"
+
+
+def set_planes(masks, n):
+    """Membership planes of a block holding ``masks`` in order."""
+    return [sum(1 << i for i, mask in enumerate(masks) if mask >> v & 1)
+            for v in range(n)]
+
+
+def assert_psd_block_run(g, masks, steps=None):
+    """Run PSD block steps from ``masks`` until none fills anything (or
+    for ``steps`` steps), checking every set against ``_psd_step`` on
+    every step.  Each set fills a vertex on every step until it stops,
+    so step n + 1 fills nothing."""
+    n, adj = g.n, g.adjacency
+    neighbors = forcing._neighbors(adj)
+    ones = (1 << len(masks)) - 1
+    filled, masks = set_planes(masks, n), list(masks)
+    for _ in range(n + 1 if steps is None else steps):
+        new = _block_psd_step(neighbors, filled, [ones ^ f for f in filled])
+        for i, mask in enumerate(masks):
+            got = sum(1 << v for v in range(n) if new[v] >> i & 1)
+            assert got == _psd_step(adj, mask, g.full_mask), \
+                f"{g!r} from {mask:#b}"
+            masks[i] = mask | got
+        if not any(new):
+            break
+        filled = [f | x for f, x in zip(filled, new)]
+
+
+def test_psd_block_run_matches_psd_step_at_order_7():
+    # Every graph of order 7, each size as one block, on the first step
+    # and on every later one until the block stops filling.
+    for g in enumerate_graphs(7):
+        for k in range(8):
+            assert_psd_block_run(g, list(_size_masks(7, k)))
+
+
+def test_psd_block_run_matches_psd_step_on_full_random_blocks():
+    # Blocks of BLOCK_SETS random sets of mixed sizes on G(16..18, p).
+    rng = random.Random(20)
+    for n, p in ((16, 0.15), (17, 0.2), (18, 0.12), (18, 0.3)):
+        g = random_graph(n, p, rng)
+        masks = [sum(1 << v for v in rng.sample(range(n), rng.randint(1, 6)))
+                 for _ in range(forcing.BLOCK_SETS)]
+        assert_psd_block_run(g, masks, steps=3)
+
+
+def test_psd_block_step_floods_once_per_component_rank(monkeypatch):
+    # On a spider with four legs of two, the set {center} leaves four
+    # components and each set {first vertex of a leg} two.  The block
+    # floods four ranks, one standard step each after the first, though
+    # nine vertices start a component next to a split vertex in some set.
+    g, center = spider([2, 2, 2, 2])
+    masks = [1 << center, 1 << 1, 1 << 3, 1 << 5, 1 << 7, 0]
+    assert [len(mask_components(g.adjacency, g.full_mask ^ m))
+            for m in masks] == [4, 2, 2, 2, 2, 1]
+    calls = []
+    step = forcing._block_standard_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(forcing, "_block_standard_step", counted)
+    assert_psd_block_run(g, masks, steps=1)
+    assert len(calls) == 1 + 4
+
+
+def test_psd_block_step_mixes_split_and_unsplit_sets():
+    # In one block, sets whose filled vertices all see at most one
+    # unfilled neighbor sit beside sets with a split vertex, so the
+    # floods must leave the first kind alone.
+    g = path(7)
+    masks = [0b0000001, 0b0000100, 0b1000001, 0b0001000, 0b0011000,
+             0b1111111, 0]
+    adj, unfilled = g.adjacency, [g.full_mask ^ m for m in masks]
+    split = [any((adj[v] & u).bit_count() > 1 for v in range(7)
+                 if m >> v & 1) for m, u in zip(masks, unfilled)]
+    assert any(split) and not all(split)
+    assert_psd_block_run(g, masks)
 
 
 def test_domination_block_run_matches_pt_to_order_6():

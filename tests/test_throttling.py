@@ -332,19 +332,25 @@ def test_throttling_matches_pool_oracle_at_orders_15_to_18():
     # The benchmark's reference file holds an independent set-based
     # oracle's (value, size, pt, witness) for 12 base graphs of order
     # 15-18, each under 4 labelings.  One labeling of each base, under
-    # every rule and kind, runs the block scans at those orders.
+    # every rule and kind, runs the block scans at those orders; PSD,
+    # whose block step floods components, runs under all four.
     pool = json.loads(POOL.read_text())
-    entries = [e for e in pool["graphs"] if e["id"].endswith("@1")]
-    assert len(entries) == 12
-    for entry in entries:
+    assert len(pool["graphs"]) == 48
+    checked = 0
+    for entry in pool["graphs"]:
         g = Graph(entry["n"], [tuple(e) for e in entry["edges"]])
         assert len(entry["results"]) == len(RULES) * len(KINDS)
         for key, expected in entry["results"].items():
             rule, kind = key.split("/")
+            if rule != Rule.PSD.value and not entry["id"].endswith("@1"):
+                continue
+            checked += 1
             res = throttling_number(Rule(rule), ThrottleKind(kind), g)
             got = [res.value, res.size, res.propagation_time,
                    list(res.witness.members)]
             assert got == expected, f"{entry['id']} {key}"
+    # Every rule and kind on the 12 @1 graphs, PSD on the 36 others.
+    assert checked == 12 * len(RULES) * len(KINDS) + 36 * len(KINDS)
 
 
 @given(graphs(min_n=1, max_n=6), st.sampled_from(RULES),
