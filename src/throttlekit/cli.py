@@ -74,12 +74,14 @@ def _compute_sources(args) -> list[tuple[str, Fixture]]:
         return [(args.fixture, parse_graph_expression(args.fixture))]
     if args.graph6:
         return [(args.graph6, Fixture(parse_graph6(args.graph6)))]
-    graphs = load_graphs(args.input, args.format)
+    graphs = list(load_graphs(args.input, args.format))
+    if not graphs:
+        raise ValueError(f"{args.input} holds no graph")
     return [(f"{args.input}[{i}]", Fixture(g)) for i, g in enumerate(graphs)]
 
 
 def _check_compute_options(args) -> None:
-    """Refuse an option that the requested computation would ignore."""
+    """Refuse an option the computation would ignore, or a missing rule."""
     pt = args.parameter == "pt"
     if args.k is not None and not pt:
         raise ValueError("--k requires --parameter pt")
@@ -97,6 +99,8 @@ def _check_compute_options(args) -> None:
                       (args.parameter == "k1" and args.rule != "zf")):
         raise ValueError(f"--parameter {args.parameter} does not apply "
                          f"to --rule {args.rule}")
+    if not args.rule and args.parameter not in ("gamma", "k1"):
+        raise ValueError("this computation requires --rule")
 
 
 def _compute_one(label: str, fx: Fixture, args) -> dict:
@@ -104,49 +108,41 @@ def _compute_one(label: str, fx: Fixture, args) -> dict:
     record: dict = {"id": label, "order": g.n}
     rule = Rule(args.rule) if args.rule else None
     initial = _parse_set(args.set, fx) if args.set else None
-
-    def need_rule() -> Rule:
-        if rule is None:
-            raise ValueError("this computation requires --rule")
-        return rule
-
     if args.parameter:
         record["parameter"] = args.parameter
         if args.parameter == "gamma":
             value, witness = domination_number(g)
         elif args.parameter == "number":
-            value, witness = forcing_number(need_rule(), g)
+            value, witness = forcing_number(rule, g)
         elif args.parameter == "k1":
             value, witness = one_step_forcing_number(g)
         else:  # pt
-            r = need_rule()
             if initial is not None:
-                value, witness = propagation_time(r, g, initial), initial
+                value, witness = propagation_time(rule, g, initial), initial
             elif args.k is not None:
-                value, witness = k_propagation_time(r, g, args.k)
+                value, witness = k_propagation_time(rule, g, args.k)
                 record["k"] = args.k
             else:
-                value, witness = graph_propagation_time(r, g)
+                value, witness = graph_propagation_time(rule, g)
         record["value"] = _json_time(value)
         record["witness"] = None if witness is None else list(witness.members)
     else:
         kind = ThrottleKind(args.kind)
-        r = need_rule()
         record["kind"] = args.kind
         if initial is not None:
-            value = throttling_of_set(r, kind, g, initial)
+            value = throttling_of_set(rule, kind, g, initial)
             record["value"] = _json_time(value)
             record["witness"] = list(initial.members)
             record["propagation_time"] = _json_time(
-                propagation_time(r, g, initial))
+                propagation_time(rule, g, initial))
         else:
-            result = throttling_number(r, kind, g, with_table=args.per_k)
+            result = throttling_number(rule, kind, g, with_table=args.per_k)
             record.update(result.to_dict())
     if rule is not None:
         record["rule"] = rule.value
 
     if args.trace:
-        trace = propagate(need_rule(), g, initial)
+        trace = propagate(rule, g, initial)
         record["trace"] = trace.to_dict()
     return record
 
@@ -171,7 +167,7 @@ def _cmd_compute(args) -> int:
     for record in records:
         if "trace" in record:
             _print_trace(record)
-        if "table" in record and record["table"] is not None:
+        if "table" in record:
             for k, entry in record["table"].items():
                 wit = entry["witness"]
                 wtext = "none" if wit is None else "{" + ",".join(map(str, wit)) + "}"
@@ -276,7 +272,7 @@ def _cmd_families(args) -> int:
     if args.json:
         _print_json("families", static=static,
                     parametric=list(PARAMETRIC_FIXTURES), operations={
-                        op: text for op, (_, text) in OPERATIONS.items()})
+                        op: text for op, (_, text, _) in OPERATIONS.items()})
         return 0
     print("static fixtures:")
     for entry in static:
@@ -286,7 +282,8 @@ def _cmd_families(args) -> int:
     print("parametric forms:")
     for form in PARAMETRIC_FIXTURES:
         print(f"  {form}")
-    suffixes = " ".join(f"/{op}:{ref}" for op, (ref, _) in OPERATIONS.items())
+    suffixes = " ".join(f"/{op}:{ref}"
+                        for op, (ref, _, _) in OPERATIONS.items())
     print(f"operation suffixes: {suffixes} "
           "(repeatable, applied left to right)")
     return 0

@@ -7,8 +7,9 @@ language ("spider:2,2,1,1", "fig4_twin/dv:x") builds any of them plus
 derived graphs on the command line and in the bundled claim catalog.
 The language is declared once: ``_FORMS`` holds every parametric form
 with its argument spec and builder, ``_ATOMS`` the short names (P4, K3,
-...), and ``OPERATIONS`` every surgery suffix; the parser, the catalog
-listing and the CLI read those tables.  Integers and numeric vertex
+...), and ``OPERATIONS`` every surgery suffix with its builder.  The
+parser, the catalog listing and the CLI read those tables; the surgery
+suites build through ``OPERATIONS`` too.  Integers and numeric vertex
 references are ASCII decimal digits.
 """
 
@@ -311,13 +312,27 @@ _FORMS = {
 PARAMETRIC_FIXTURES = tuple(f"{name}:{spec}"
                             for name, (spec, _) in _FORMS.items())
 
-# suffix -> (reference it takes, description)
+
+def _add_edge(g: Graph, u: int, v: int) -> tuple[Graph, None]:
+    if g.has_edge(u, v):
+        raise ValueError(f"edge ({u}, {v}) already present")
+    return Graph(g.n, list(g.edges()) + [(u, v)]), None
+
+
+# suffix -> (reference it takes, description, build): build(g, u, v)
+# gives the operated graph and its VertexMap, or None where no label
+# moves (v is None for a V reference).  Each build looks the method up
+# on g when it runs, so a wrapper on the Graph class sees every surgery.
 OPERATIONS = {
-    "dv": ("V", "delete vertex, e.g. fig4_twin/dv:x"),
-    "de": ("E", "delete edge, e.g. fig3_H1/de:e"),
-    "ae": ("U-W", "add edge, e.g. matched_complete:3/ae:0-4"),
-    "ce": ("E", "contract edge, e.g. fig5_K2corona/ce:e"),
-    "se": ("E", "subdivide edge, e.g. fig7_subdiv/se:e"),
+    "dv": ("V", "delete vertex, e.g. fig4_twin/dv:x",
+           lambda g, u, v: g.delete_vertex(u)),
+    "de": ("E", "delete edge, e.g. fig3_H1/de:e",
+           lambda g, u, v: (g.delete_edge(u, v), None)),
+    "ae": ("U-W", "add edge, e.g. matched_complete:3/ae:0-4", _add_edge),
+    "ce": ("E", "contract edge, e.g. fig5_K2corona/ce:e",
+           lambda g, u, v: g.contract_edge(u, v)),
+    "se": ("E", "subdivide edge, e.g. fig7_subdiv/se:e",
+           lambda g, u, v: g.subdivide_edge(u, v)),
 }
 
 
@@ -399,20 +414,16 @@ def _resolve_pair(fx: Fixture, ref: str) -> tuple[int, int]:
     return pairs[0]
 
 
-def _resolve_edge(fx: Fixture, ref: str) -> tuple[str, tuple[int, int]]:
-    if ref in fx.edges:
-        return ref, fx.edges[ref]
-    return ref, _resolve_pair(fx, ref)
+def _resolve_edge(fx: Fixture, ref: str) -> tuple[int, int]:
+    return fx.edges[ref] if ref in fx.edges else _resolve_pair(fx, ref)
 
 
-def _remap_names(fx: Fixture, g: Graph, vmap: VertexMap,
-                 extra: dict[str, int]) -> Fixture:
+def _remap_names(fx: Fixture, g: Graph, vmap: VertexMap) -> Fixture:
     vertices = {}
     for name, v in fx.vertices.items():
         img = vmap.image(v)
         if img is not None:
             vertices[name] = img
-    vertices.update(extra)
     edges = {}
     for name, (u, v) in fx.edges.items():
         iu, iv = vmap.image(u), vmap.image(v)
@@ -430,36 +441,21 @@ def _apply_op(fx: Fixture, spec: str) -> Fixture:
     if op not in OPERATIONS:
         raise ValueError(f"unknown graph operation {op!r} "
                          f"(use {'/'.join(OPERATIONS)})")
-    g = fx.graph
-    if op == "dv":
-        x = _resolve_vertex(fx, ref)
-        g2, vmap = g.delete_vertex(x)
-        return _remap_names(fx, g2, vmap, {})
-    if op == "de":
-        _, (u, v) = _resolve_edge(fx, ref)
-        g2 = g.delete_edge(u, v)
-        vmap = VertexMap(g.n, g.n, range(g.n))
-        return _remap_names(fx, g2, vmap, {})
-    if op == "ae":
-        u, v = _resolve_pair(fx, ref)
-        if g.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) already present")
-        g2 = Graph(g.n, list(g.edges()) + [(u, v)])
-        vmap = VertexMap(g.n, g.n, range(g.n))
-        out = _remap_names(fx, g2, vmap, {})
-        out.edges[ref if ref not in out.edges else f"added_{ref}"] = (u, v)
-        return out
+    kind, _, build = OPERATIONS[op]
+    if kind == "V":
+        u, v = _resolve_vertex(fx, ref), None
+    else:
+        u, v = (_resolve_edge if kind == "E" else _resolve_pair)(fx, ref)
+    g, vmap = build(fx.graph, u, v)
+    out = _remap_names(fx, g, vmap or VertexMap(g.n, g.n, range(g.n)))
+    # Only the names an operation creates are its own.
     if op == "ce":
-        name, (u, v) = _resolve_edge(fx, ref)
-        g2, vmap = g.contract_edge(u, v)
-        merged = vmap.image(u)
-        assert merged is not None
-        return _remap_names(fx, g2, vmap, {f"y_{name}": merged})
-    assert op == "se"
-    name, (u, v) = _resolve_edge(fx, ref)
-    g2, vmap = g.subdivide_edge(u, v)
-    assert vmap.new_vertex is not None
-    return _remap_names(fx, g2, vmap, {f"z_{name}": vmap.new_vertex})
+        out.vertices[f"y_{ref}"] = vmap.image(u)
+    elif op == "se":
+        out.vertices[f"z_{ref}"] = vmap.new_vertex
+    elif op == "ae":
+        out.edges[ref if ref not in out.edges else f"added_{ref}"] = (u, v)
+    return out
 
 
 def parse_graph_expression(expr: str) -> Fixture:

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 from .graph import Graph, VertexMap, VertexSet, bits, mask_components
 from .graphio import format_graph6, parse_graph6
-from .families import MAX_ENUMERATION_ORDER, enumerate_graphs
+from .families import MAX_ENUMERATION_ORDER, OPERATIONS, enumerate_graphs
 from .iso import invariant_key
 from .forcing import (
     INFINITY,
@@ -223,21 +223,18 @@ _DOING = {"de": "deleting ({u},{v})", "ce": "contracting ({u},{v})",
 def _operations(g: Graph, kinds: tuple = ("de", "ce", "se", "dv")) -> list:
     """Each local operation of the given kinds on g, built once.
 
+    Every entry is built through ``families.OPERATIONS``, as the
+    expression parser builds its ``/<kind>:<ref>`` suffixes.
     Entries are ``(kind, u, v, H, vmap)``: per edge (u, v) in order its
     deletion ("de", vmap None), contraction ("ce") and subdivision
     ("se"), then each vertex deletion ("dv", u the vertex, v None) when
     g has at least two vertices.
     """
-    ops = []
-    for u, v in g.edges():
-        if "de" in kinds:
-            ops.append(("de", u, v, g.delete_edge(u, v), None))
-        if "ce" in kinds:
-            ops.append(("ce", u, v, *g.contract_edge(u, v)))
-        if "se" in kinds:
-            ops.append(("se", u, v, *g.subdivide_edge(u, v)))
+    ops = [(op, u, v, *OPERATIONS[op][2](g, u, v)) for u, v in g.edges()
+           for op in ("de", "ce", "se") if op in kinds]
     if "dv" in kinds and g.n >= 2:
-        ops += [("dv", x, None, *g.delete_vertex(x)) for x in range(g.n)]
+        ops += [("dv", x, None, *OPERATIONS["dv"][2](g, x, None))
+                for x in range(g.n)]
     return ops
 
 

@@ -175,6 +175,8 @@ def test_compute_rejects_bad_graph6(capsys):
      "--parameter gamma does not apply to --rule zf"),
     (("--rule", "psd", "--parameter", "gamma"),
      "--parameter gamma does not apply to --rule psd"),
+    (("--parameter", "pt"), "this computation requires --rule"),
+    (("--kind", "prodstar"), "this computation requires --rule"),
 ])
 def test_compute_rejects_ignored_options(capsys, argv, message):
     code, out, err = run(capsys, "compute", "--fixture", "path:5", *argv)
@@ -189,6 +191,23 @@ def test_compute_set_takes_decimal_labels_only(capsys, token):
                          "--parameter", "pt", "--set", token)
     assert code == 2
     assert f"unknown vertex reference {token!r}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--rule", "zf", "--kind", "sum"), "holds no graph"),
+    (("--rule", "zf", "--kind", "sum", "--json"), "holds no graph"),
+    (("--rule", "zf", "--kind", "sum", "--format", "edgelist"),
+     "holds no graph"),
+    # Without --rule the refusal comes before the file is read.
+    (("--kind", "sum"), "this computation requires --rule"),
+])
+def test_compute_refuses_empty_input_file(capsys, tmp_path, argv, message):
+    f = tmp_path / "empty.g6"
+    f.write_text("")
+    code, out, err = run(capsys, "compute", "--input", str(f), *argv)
+    assert code == 2
+    assert message in err
     assert out == ""
 
 

@@ -10,8 +10,9 @@ import pytest
 
 from throttlekit import report as report_module
 from throttlekit import suites
+from throttlekit.families import Fixture, _apply_op, enumerate_graphs
 from throttlekit.forcing import Rule
-from throttlekit.graph import Graph
+from throttlekit.graph import Graph, VertexMap
 from throttlekit.graphio import parse_graph6
 from throttlekit.report import Report, resolve_workers, run_claims, run_suite
 from throttlekit.suites import SUITES, build_cases, run_case
@@ -167,6 +168,33 @@ def test_memo_state_does_not_change_records(monkeypatch, name):
     monkeypatch.setattr(suites, "_memo", {})
     backward = [run_case(case) for case in reversed(cases)][::-1]
     assert cold == warm == backward
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_operations_match_the_expression_parser(n):
+    # The surgery suites and the expression parser build through one
+    # table, so each operation gives the same graph and the same images
+    # either way, whichever way round the parser is given the edge.
+    # Every vertex carries a name, so the parser's images show in its
+    # remapped names; the names ce and se create land where the map
+    # puts the merged or the new vertex.
+    for g in enumerate_graphs(n):
+        fx = Fixture(g, vertices={f"v{x}": x for x in range(n)})
+        ops = suites._operations(g)
+        assert len(ops) == 3 * g.edge_count + (n if n >= 2 else 0)
+        for op, u, v, h, vmap in ops:
+            if op == "de":
+                assert vmap is None
+                vmap = VertexMap(n, n, range(n))
+            images = {f"v{x}": vmap.image(x) for x in range(n)
+                      if vmap.image(x) is not None}
+            refs = [str(u)] if op == "dv" else [f"{u}-{v}", f"{v}-{u}"]
+            for ref in refs:
+                out = _apply_op(fx, f"{op}:{ref}")
+                assert out.graph.adjacency == h.adjacency, (g, op, ref)
+                created = {"ce": {f"y_{ref}": vmap.image(u)},
+                           "se": {f"z_{ref}": vmap.new_vertex}}
+                assert out.vertices == {**images, **created.get(op, {})}
 
 
 def test_budget_sampling_is_deterministic():
