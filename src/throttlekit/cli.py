@@ -46,7 +46,8 @@ from .suites import SUITES
 
 
 def _fmt_time(value) -> str:
-    return "infinity" if value == INFINITY else str(value)
+    """A time as text; None is a JSON record's infinity."""
+    return "infinity" if value is None or value == INFINITY else str(value)
 
 
 def _json_time(value):
@@ -175,9 +176,9 @@ def _cmd_compute(args) -> int:
                       f"witness={wtext}")
         value = record["value"]
         if len(records) == 1:
-            print(_fmt_time(INFINITY if value is None else value))
+            print(_fmt_time(value))
         else:
-            print(f"{record['id']}\t{_fmt_time(INFINITY if value is None else value)}")
+            print(f"{record['id']}\t{_fmt_time(value)}")
     return 0
 
 

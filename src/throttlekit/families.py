@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 from .graph import Graph, VertexMap
 from .graphio import read_edge_list
-from .iso import invariant_key
+from .iso import automorphisms, invariant_key
 
 MAX_ENUMERATION_ORDER = 9
 
@@ -484,6 +484,11 @@ def _iso_classes(n: int) -> tuple[Graph, ...]:
     joined to a new vertex n - 1 by every neighbour mask in ascending
     order; the first candidate of each isomorphism class is kept, so
     the representatives, their labels and their order are fixed.
+
+    A mask m that an automorphism sigma of the parent (one of the
+    generators the canonical search meets) maps to a lower mask is never
+    keyed: the candidate for sigma(m) is isomorphic to m's and comes
+    earlier, so m cannot be the first of its class.
     """
     if n == 1:
         return (Graph(1),)
@@ -491,7 +496,18 @@ def _iso_classes(n: int) -> tuple[Graph, ...]:
     seen: set[tuple[int, ...]] = set()
     for parent in _iso_classes(n - 1):
         base = parent.adjacency
+        lower: set[int] = set()
+        for sigma in automorphisms(n - 1, base):
+            # image[m] is sigma(m).  Vertex v goes to w, and the masks
+            # from 2^v to 2^(v+1) - 1 are those below 2^v plus v.
+            image = [0]
+            for w in sigma:
+                bit = 1 << w
+                image += [x | bit for x in image]
+            lower.update(m for m, x in enumerate(image) if x < m)
         for mask in range(1 << (n - 1)):
+            if mask in lower:
+                continue
             adj = tuple(
                 base[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)
             ) + (mask,)

@@ -7,6 +7,8 @@ exactly for isomorphic graphs.  That leaf also orders the vertices, so
 ``find_isomorphism`` maps one graph's order onto the other's.  The
 search is one recursive function that takes the best leaf so far and
 returns the new best, so no call leaves a cycle for the collector.
+Given a list, the same search also collects the automorphisms it meets
+on the way, which ``automorphisms`` returns as generators of the group.
 """
 from __future__ import annotations
 
@@ -64,13 +66,19 @@ def _refine(adj: tuple[int, ...], cells: list[int], queue: list[int]) -> None:
             i += 1
 
 
-def _search(adj: tuple[int, ...], cells: list[int], best: _Leaf | None) -> _Leaf:
+def _search(adj: tuple[int, ...], cells: list[int], best: _Leaf | None,
+            gens: list[tuple[int, ...]] | None = None) -> _Leaf:
     """The least of ``best`` and the leaves below ``cells``, the first
     of equal certificates winning.  Each vertex of the first smallest
     non-singleton cell is individualized in turn (skipping twins of those
     tried, whose subtrees are automorphic images) and refined again.  A
     leaf's i-th cell is the vertex it puts at position i; its certificate
     is the adjacency rows in that order.
+
+    If ``gens`` is a list, the automorphisms the search meets are
+    appended to it, each as the tuple of vertex images: a leaf whose
+    certificate equals the best one maps the best leaf's i-th vertex to
+    its own, and a twin v skipped for a tried u gives the swap of u and v.
     """
     n = len(adj)
     if len(cells) == n:
@@ -87,32 +95,55 @@ def _search(adj: tuple[int, ...], cells: list[int], best: _Leaf | None) -> _Leaf
                 row |= image[low.bit_length() - 1]
             rows.append(row)
         cert = tuple(rows)
-        return (cert, cells) if best is None or cert < best[0] else best
+        if best is None or cert < best[0]:
+            return cert, cells
+        if gens is not None and cert == best[0]:
+            sigma = [0] * n
+            for b, c in zip(best[1], cells):
+                sigma[b.bit_length() - 1] = c.bit_length() - 1
+            gens.append(tuple(sigma))
+        return best
     target = min((c.bit_count(), i) for i, c in enumerate(cells)
                  if c & (c - 1))[1]
     cell = cells[target]
     tried: list[int] = []
     for v in bits(cell):
-        if any(adj[v] & ~(1 << u) == adj[u] & ~(1 << v) for u in tried):
-            continue
-        tried.append(v)
-        child = cells[:target] + [1 << v, cell ^ (1 << v)] + cells[target + 1:]
-        _refine(adj, child, [1 << v])
-        best = _search(adj, child, best)
+        for u in tried:
+            if adj[v] & ~(1 << u) == adj[u] & ~(1 << v):
+                if gens is not None:
+                    swap = list(range(n))
+                    swap[u], swap[v] = v, u
+                    gens.append(tuple(swap))
+                break
+        else:
+            tried.append(v)
+            child = cells[:target] + [1 << v, cell ^ (1 << v)] + cells[target + 1:]
+            _refine(adj, child, [1 << v])
+            best = _search(adj, child, best, gens)
     return best
 
 
-def _canonical(n: int, adj: tuple[int, ...]) -> _Leaf:
+def _canonical(n: int, adj: tuple[int, ...],
+               gens: list[tuple[int, ...]] | None = None) -> _Leaf:
     """The least leaf below the unit partition, refined to equitable."""
     full = (1 << n) - 1
     cells = [full] if n else []
     _refine(adj, cells, [full])
-    return _search(adj, cells, None)
+    return _search(adj, cells, None, gens)
 
 
 def invariant_key(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
     """A complete canonical key: equal exactly for isomorphic graphs."""
     return _canonical(n, adj)[0]
+
+
+def automorphisms(n: int, adj: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Automorphisms met by the canonical search, each as the tuple of
+    vertex images; they generate the graph's whole automorphism group
+    (checked against networkx on every graph to order 7)."""
+    gens: list[tuple[int, ...]] = []
+    _canonical(n, adj, gens)
+    return gens
 
 
 def _iso_adj(n: int, adj_a: tuple[int, ...], adj_b: tuple[int, ...]) -> tuple[int, ...] | None:

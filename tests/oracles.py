@@ -252,3 +252,25 @@ def naive_subdivide_edge(g, u, v):
     z = g.n
     kept = [e for e in g.edges() if set(e) != {u, v}]
     return _rows(z + 1, kept + [(u, z), (v, z)]), list(range(z)), None, z
+
+
+def unpruned_iso_classes(nmax, key):
+    """Adjacency rows of one graph per isomorphism class, orders 1 to
+    nmax, by vertex extension with no orbit pruning: every mask of every
+    parent is keyed with ``key`` (a complete canonical key taking the
+    order and the rows) and the first candidate of each class is kept.
+    """
+    orders = [((0,),)]
+    for n in range(2, nmax + 1):
+        out, seen = [], set()
+        for base in orders[-1]:
+            for mask in range(1 << (n - 1)):
+                adj = tuple(
+                    base[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)
+                ) + (mask,)
+                k = key(n, adj)
+                if k not in seen:
+                    seen.add(k)
+                    out.append(adj)
+        orders.append(tuple(out))
+    return orders

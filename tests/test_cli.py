@@ -103,6 +103,20 @@ def test_compute_per_k_table(capsys):
     assert len(lines) == 6  # five sizes plus the optimum
 
 
+def test_compute_per_k_prints_infinity_for_stalled_sizes(capsys):
+    # Cx is a triangle with a pendant vertex: no single vertex forces it.
+    code, out, _ = run(capsys, "compute", "--rule", "zf", "--kind", "sum",
+                       "--per-k", "--graph6", "Cx")
+    assert code == 0
+    assert out.splitlines() == [
+        "k=1: value=infinity witness=none",
+        "k=2: value=4 witness={0,1}",
+        "k=3: value=4 witness={0,1,2}",
+        "k=4: value=4 witness={0,1,2,3}",
+        "4",
+    ]
+
+
 def test_compute_requires_exactly_one_source(capsys):
     code, _, err = run(capsys, "compute", "--rule", "zf", "--kind", "sum")
     assert code == 2

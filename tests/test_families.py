@@ -1,7 +1,9 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
+from throttlekit import families
 from throttlekit.families import (
     MAX_ARGUMENT,
     MAX_ENUMERATION_ORDER,
@@ -29,7 +31,9 @@ from throttlekit.families import (
     star_plus_edge,
 )
 from throttlekit.graph import Graph
-from throttlekit.iso import are_isomorphic
+from throttlekit.iso import are_isomorphic, invariant_key
+
+from .oracles import unpruned_iso_classes
 
 # Counts of graphs on n vertices up to isomorphism (all / connected).
 ISO_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -306,6 +310,31 @@ def test_iso_class_counts(n):
 def test_enumeration_output_is_pinned(n):
     text = repr([g.adjacency for g in _iso_classes(n)])
     assert hashlib.sha1(text.encode()).hexdigest() == ENUMERATION_DIGESTS[n]
+
+
+def test_orbit_pruned_enumeration_matches_unpruned_loop():
+    reference = unpruned_iso_classes(7, invariant_key)
+    for n in range(1, 8):
+        assert tuple(g.adjacency for g in _iso_classes(n)) == reference[n - 1]
+
+
+def test_enumeration_skips_masks_a_parent_automorphism_maps_lower(monkeypatch):
+    # Counted through the name families.invariant_key, the one the
+    # traced benchmark wraps.  The unpruned loop keys 2^(n-1) candidates
+    # per parent: 2, 8, 32, 176, 1,088, 9,984 and 133,632 (144,922).
+    keyed = Counter()
+    real_key = families.invariant_key
+
+    def counted_key(n, adj):
+        keyed[n] += 1
+        return real_key(n, adj)
+
+    monkeypatch.setattr(families, "invariant_key", counted_key)
+    _iso_classes.cache_clear()
+    for n in range(1, 9):
+        _iso_classes(n)
+    assert keyed == {2: 2, 3: 6, 4: 20, 5: 90, 6: 544, 7: 5096, 8: 79264}
+    assert sum(keyed.values()) == 85_022
 
 
 def test_iso_classes_are_pairwise_non_isomorphic():

@@ -18,7 +18,12 @@ from throttlekit.families import (
     star,
 )
 from throttlekit.graph import Graph
-from throttlekit.iso import are_isomorphic, find_isomorphism, invariant_key
+from throttlekit.iso import (
+    are_isomorphic,
+    automorphisms,
+    find_isomorphism,
+    invariant_key,
+)
 
 from .strategies import graphs
 
@@ -141,9 +146,44 @@ def test_self_isomorphism(g):
     assert are_isomorphic(g, g)
 
 
+def group_order(n: int, gens: list[tuple[int, ...]]) -> int:
+    """The order of the permutation group the generators generate."""
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        p = frontier.pop()
+        for s in gens:
+            q = tuple(s[i] for i in p)
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return len(seen)
+
+
+SMALL = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+
+
+def test_automorphisms_preserve_adjacency():
+    gs = SMALL + [parse_graph_expression(e).graph for e in
+                  ("book:5", "cycle:8", "spider:2,2,1,1", "complete:6")]
+    for g in gs:
+        for sigma in automorphisms(g.n, g.adjacency):
+            assert sorted(sigma) == list(range(g.n))
+            assert all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges())
+
+
+def test_automorphisms_generate_the_whole_group():
+    assert len(SMALL) == 1252
+    for g in SMALL:
+        matcher = nx.algorithms.isomorphism.GraphMatcher(to_nx(g), to_nx(g))
+        expected = sum(1 for _ in matcher.isomorphisms_iter())
+        assert group_order(g.n, automorphisms(g.n, g.adjacency)) == expected
+
+
 def test_search_leaves_no_garbage():
-    # Every object a key or a map builds is freed by reference counting
-    # when the call returns, so the cyclic collector finds nothing.
+    # Every object a key, a map or a generator list builds is freed by
+    # reference counting when the call returns, so the cyclic collector
+    # finds nothing.
     gs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
     gs += [parse_graph_expression(e).graph
            for e in ("book:3", "spider:2,2,1,1", "cycle:8")]
@@ -153,6 +193,7 @@ def test_search_leaves_no_garbage():
         for g in gs:
             invariant_key(g.n, g.adjacency)
             assert find_isomorphism(g, g) is not None
+            automorphisms(g.n, g.adjacency)
         assert gc.collect() == 0
     finally:
         gc.enable()
