@@ -497,7 +497,7 @@ def _iso_classes(n: int) -> tuple[Graph, ...]:
     for parent in _iso_classes(n - 1):
         base = parent.adjacency
         lower: set[int] = set()
-        for sigma in automorphisms(n - 1, base):
+        for sigma in automorphisms(n - 1, base)[1]:
             # image[m] is sigma(m).  Vertex v goes to w, and the masks
             # from 2^v to 2^(v+1) - 1 are those below 2^v plus v.
             image = [0]

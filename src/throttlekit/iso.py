@@ -8,7 +8,8 @@ exactly for isomorphic graphs.  That leaf also orders the vertices, so
 search is one recursive function that takes the best leaf so far and
 returns the new best, so no call leaves a cycle for the collector.
 Given a list, the same search also collects the automorphisms it meets
-on the way, which ``automorphisms`` returns as generators of the group.
+on the way, which ``automorphisms`` returns with the key as generators
+of the group.
 """
 from __future__ import annotations
 
@@ -137,13 +138,14 @@ def invariant_key(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
     return _canonical(n, adj)[0]
 
 
-def automorphisms(n: int, adj: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Automorphisms met by the canonical search, each as the tuple of
-    vertex images; they generate the graph's whole automorphism group
-    (checked against networkx on every graph to order 7)."""
+def automorphisms(n: int, adj: tuple[int, ...]
+                  ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The canonical key and the automorphisms met by the one search
+    that finds it, each as the tuple of vertex images; they generate
+    the graph's whole automorphism group (checked against networkx on
+    every graph to order 7)."""
     gens: list[tuple[int, ...]] = []
-    _canonical(n, adj, gens)
-    return gens
+    return _canonical(n, adj, gens)[0], gens
 
 
 def _iso_adj(n: int, adj_a: tuple[int, ...], adj_b: tuple[int, ...]) -> tuple[int, ...] | None:

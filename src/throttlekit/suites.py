@@ -20,7 +20,14 @@ The surgery suites (``prop3.2``, ``prop3.12``) read throttling values
 through ``_th``, which shares them across cases by isomorphism class:
 a process-level memo keyed by each graph's canonical key holds values
 only, never a witness, since the colex-least witness depends on the
-labeling.
+labeling.  They also share surgeries within a case: one canonical
+search of the graph gives its key and its automorphism generators, and
+only the first operation of each orbit is built and keyed; the others
+keep their own place and labels in the output and reuse its graph.
+
+``lemma3.1`` lifts start sets by table: each item gives the best time
+on the other graph for every start set at once, reading tables of the
+operation's preimage or image of all 2^n sets.
 """
 
 from __future__ import annotations
@@ -28,14 +35,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .graph import Graph, VertexMap, VertexSet, bits, mask_components
 from .graphio import format_graph6, parse_graph6
 from .families import MAX_ENUMERATION_ORDER, OPERATIONS, enumerate_graphs
-from .iso import invariant_key
+from .iso import automorphisms, invariant_key
 from .forcing import (
-    INFINITY,
     Rule,
     _psd_step,
     _standard_step,
@@ -220,31 +226,119 @@ _DOING = {"de": "deleting ({u},{v})", "ce": "contracting ({u},{v})",
           "se": "subdividing ({u},{v})", "dv": "deleting vertex {u}"}
 
 
-def _operations(g: Graph, kinds: tuple = ("de", "ce", "se", "dv")) -> list:
-    """Each local operation of the given kinds on g, built once.
+def _first_of_orbit(items: Iterable, gens: Sequence[tuple[int, ...]],
+                    image: Callable) -> dict:
+    """Each item mapped to the first item of its orbit, in the order of
+    ``items``, under the group that ``gens`` generate; ``image(sigma,
+    x)`` is sigma(x)."""
+    first: dict = {}
+    for x in items:
+        if x in first:
+            continue
+        first[x] = x
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            for sigma in gens:
+                z = image(sigma, y)
+                if z not in first:
+                    first[z] = x
+                    todo.append(z)
+    return first
 
-    Every entry is built through ``families.OPERATIONS``, as the
-    expression parser builds its ``/<kind>:<ref>`` suffixes.
+
+def _edge_image(sigma: tuple, e: tuple[int, int]) -> tuple[int, int]:
+    a, b = sigma[e[0]], sigma[e[1]]
+    return (a, b) if a < b else (b, a)
+
+
+def _operations(g: Graph, kinds: tuple = ("de", "ce", "se", "dv"),
+                gens: Sequence[tuple[int, ...]] = ()) -> list:
+    """Each local operation of the given kinds on g.
+
+    Every operated graph is built through ``families.OPERATIONS``, as
+    the expression parser builds its ``/<kind>:<ref>`` suffixes.
     Entries are ``(kind, u, v, H, vmap)``: per edge (u, v) in order its
     deletion ("de", vmap None), contraction ("ce") and subdivision
     ("se"), then each vertex deletion ("dv", u the vertex, v None) when
     g has at least two vertices.
+
+    Given automorphisms ``gens`` of g, only the first operation of each
+    orbit of the group they generate is built, edges taken unordered:
+    an automorphism maps each later graph of the orbit onto the first
+    one's.  A later entry keeps its place and its own (u, v) but shares
+    the first one's H, with vmap None, since that map names the first
+    one's labels.
     """
-    ops = [(op, u, v, *OPERATIONS[op][2](g, u, v)) for u, v in g.edges()
-           for op in ("de", "ce", "se") if op in kinds]
+    edges = g.edges()
+    first = _first_of_orbit(edges, gens, _edge_image)
+    sites = [(op, e, first[e]) for e in edges
+             for op in ("de", "ce", "se") if op in kinds]
     if "dv" in kinds and g.n >= 2:
-        ops += [("dv", x, None, *OPERATIONS["dv"][2](g, x, None))
-                for x in range(g.n)]
+        first = _first_of_orbit(range(g.n), gens, lambda sigma, x: sigma[x])
+        sites += [("dv", (x, None), (first[x], None)) for x in range(g.n)]
+    built: dict = {}
+    ops = []
+    for op, site, rep in sites:
+        if site == rep:
+            h, vmap = built[op, site] = OPERATIONS[op][2](g, *site)
+        else:
+            h, vmap = built[op, rep][0], None
+        ops.append((op, *site, h, vmap))
     return ops
 
 
-def _pre(vmap: VertexMap, bmask: int) -> int:
-    return vmap.preimage_set(VertexSet.from_mask(vmap.target_order,
-                                                 bmask)).mask
+def _orbit_operations(g: Graph) -> tuple[dict, list]:
+    """A case's map from graphs to class keys, and g's operations built
+    once per orbit of Aut(g).  One canonical search of g gives both its
+    key, which seeds the map, and the automorphism generators."""
+    key, gens = automorphisms(g.n, g.adjacency)
+    return {g: (g.n, key)}, _operations(g, gens=gens)
 
 
-def _ends(bmask: int, u: int, v: int) -> tuple[int, int]:
-    return bmask | 1 << u, bmask | 1 << v
+# Lemma 3.1 lifts.  Each takes the destination graph's table d of
+# times, the operation's (u, v) and its map m, and gives the best time
+# on the destination over the lifts of each source mask B, for every B
+# in order.  Masks of a derived graph are carried through tables of all
+# 2^n sets built by doubling one vertex at a time.
+
+def _unions(parts: list[int]) -> list[int]:
+    """The union of ``parts[i]`` over the members i, for every mask."""
+    out = [0]
+    for part in parts:
+        out += [x | part for x in out]
+    return out
+
+
+def _preimages(m: VertexMap) -> list[int]:
+    """The source vertices whose image lies in B, for every target B."""
+    parts = [0] * m.target_order
+    for x in range(m.source_order):
+        if m.image(x) is not None:
+            parts[m.image(x)] |= 1 << x
+    return _unions(parts)
+
+
+def _lift_end(d: list, u: int, v: int, m: Optional[VertexMap]) -> list:
+    bu, bv = 1 << u, 1 << v
+    return [min(d[b | bu], d[b | bv]) for b in range(len(d))]
+
+
+def _lift_put_back(d: list, x: int, _: None, m: VertexMap) -> list:
+    bx = 1 << x
+    return [d[p | bx] for p in _preimages(m)]
+
+
+def _lift_split(d: list, u: int, v: int, m: VertexMap) -> list:
+    bu, bv, merged = 1 << u, 1 << v, 1 << m.image(u)
+    return [d[p] if b & merged else min(d[p | bu], d[p | bv])
+            for b, p in enumerate(_preimages(m))]
+
+
+def _lift_push(d: list, u: int, v: int, m: VertexMap) -> list:
+    merged = 1 << m.image(u)
+    return [d[x | merged] for x in
+            _unions([1 << m.image(x) for x in range(m.source_order)])]
 
 
 # Lemma 3.1, item -> (operation, whether the start set B lives on the
@@ -254,32 +348,30 @@ def _ends(bmask: int, u: int, v: int) -> tuple[int, int]:
 _TRANSFER = {
     # A completing set of G-e completes G after adding one endpoint.
     1: ("de", True, "{site}, B'={B}: best on G {best} > {pt} on G-e",
-        lambda b, u, v, m: (b | 1 << u, b | 1 << v)),
+        _lift_end),
     # A completing set of G completes G-e after adding one endpoint.
     2: ("de", False, "{site}, B={B}: best on G-e {best} > {pt} on G",
-        lambda b, u, v, m: (b | 1 << u, b | 1 << v)),
+        _lift_end),
     # A completing set of G-x completes G once x is put back.
     3: ("dv", True, "{site}, B'={B}: {best} on G > {pt} on G-x",
-        lambda b, x, _, m: (_pre(m, b) | 1 << x,)),
+        _lift_put_back),
     # A completing set of G/e lifts back to G, splitting the merged
     # vertex or adding one endpoint.
     4: ("ce", True, "{site}, B'={B}: {best} on G > {pt} on G/e",
-        lambda b, u, v, m: ((_pre(m, b),) if b >> m.image(u) & 1
-                            else _ends(_pre(m, b), u, v))),
+        _lift_split),
     # Power domination only: a completing set of G pushes forward
     # through a contraction at no time cost.
     5: ("ce", False, "{site}, B={B}: {best} on G/e > {pt} on G",
-        lambda b, u, v, m: (m.map_set(VertexSet.from_mask(m.source_order, b))
-                            .mask | 1 << m.image(u),)),
+        _lift_push),
     # A completing set of the subdivision pulls back to G, trading the
-    # new vertex for one endpoint.
+    # new vertex for one endpoint.  The new vertex is the top label n,
+    # so the sets that hold it are the upper half of the masks.
     6: ("se", True, "{site}, B'={B}: {best} on G > {pt} on subdivision",
-        lambda b, u, v, m: (_ends(b & ~(1 << m.new_vertex), u, v)
-                            if b >> m.new_vertex & 1 else (b,))),
+        lambda d, u, v, m: [*d, *_lift_end(d, u, v, m)]),
     # A completing set of G completes the subdivision after adding the
     # new vertex, which can perform the force its edge carried.
     7: ("se", False, "{site}, B={B}: {best} on subdivision > {pt} on G",
-        lambda b, u, v, m: (b | 1 << m.new_vertex,)),
+        lambda d, u, v, m: d[len(d) // 2:]),
 }
 
 
@@ -290,20 +382,19 @@ def _run_transfer(g: Graph, payload: dict) -> Outcome:
         raise ValueError(f"unknown transfer item {item}")
     kind, on_h, witness, lift = _TRANSFER[item]
     # The times of every start set on G and on each operated graph H,
-    # read from one table per graph.
+    # read from one table per graph.  No best time exceeds a stalled
+    # set's INFINITY, so stalled sets need no skip.
     gtab = pt_table(rule, g.adjacency, g.n)
     violations = []
     for _, u, v, h, vmap in _operations(g, (kind,)):
         htab = pt_table(rule, h.adjacency, h.n)
         stab, dtab = (htab, gtab) if on_h else (gtab, htab)
         site = f"x={u}" if kind == "dv" else f"e=({u},{v})"
-        for bmask, pt in enumerate(stab):
-            if pt == INFINITY:
-                continue
-            best = min(dtab[m] for m in lift(bmask, u, v, vmap))
-            if best > pt:
-                violations.append(witness.format(site=site, B=_fmt(bmask),
-                                                 best=best, pt=pt))
+        violations += [
+            witness.format(site=site, B=_fmt(bmask), best=best, pt=pt)
+            for bmask, (pt, best) in enumerate(zip(stab,
+                                                   lift(dtab, u, v, vmap)))
+            if best > pt]
     return violations, None
 
 
@@ -323,8 +414,7 @@ _PRODUCT_BOUNDS = (
 
 
 def _run_product_stability(g: Graph, payload: dict) -> Outcome:
-    keys: dict = {}
-    ops = _operations(g)
+    keys, ops = _orbit_operations(g)
     violations = []
     for rule in (_PD, _PSD):
         for kind, kn in ((_STAR, "no-cost"), (_X, "initial-cost")):
@@ -353,11 +443,11 @@ _ONE_STEP_BOUNDS = {"dv": ("(1)", -1, 0), "de": ("(2)", -1, 1),
 
 
 def _run_one_step_stability(g: Graph, payload: dict) -> Outcome:
-    keys: dict = {}
+    keys, ops = _orbit_operations(g)
     t = _th(keys, g, _ZF, _STAR)
     violations = []
     # Vertex deletions are reported first (a stable sort keeps the rest).
-    for op, u, v, h, _ in sorted(_operations(g), key=lambda o: o[0] != "dv"):
+    for op, u, v, h, _ in sorted(ops, key=lambda o: o[0] != "dv"):
         label, lo, hi = _ONE_STEP_BOUNDS[op]
         b = _th(keys, h, _ZF, _STAR)
         if b is not None and not t + lo <= b <= t + hi:

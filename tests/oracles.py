@@ -274,3 +274,38 @@ def unpruned_iso_classes(nmax, key):
                     out.append(adj)
         orders.append(tuple(out))
     return orders
+
+
+# Lemma 3.1's lifts, one start set at a time: item -> the candidate
+# sets on the destination graph for a source mask b, given the
+# operation's (u, v) and its vertex map m.  The best lifted time is the
+# least destination time over the candidates.
+
+def _preimage(m, b):
+    """Source vertices whose image lies in the target mask b."""
+    images = [m.image(x) for x in range(m.source_order)]
+    return sum(1 << x for x, y in enumerate(images)
+               if y is not None and b >> y & 1)
+
+
+def _image(m, b):
+    """Images of the members of the source mask b (merged ones once)."""
+    images = {m.image(x) for x in range(m.source_order) if b >> x & 1}
+    return sum(1 << y for y in images if y is not None)
+
+
+def _ends(b, u, v):
+    return b | 1 << u, b | 1 << v
+
+
+TRANSFER_LIFTS = {
+    1: lambda b, u, v, m: _ends(b, u, v),
+    2: lambda b, u, v, m: _ends(b, u, v),
+    3: lambda b, x, _, m: (_preimage(m, b) | 1 << x,),
+    4: lambda b, u, v, m: ((_preimage(m, b),) if b >> m.image(u) & 1
+                           else _ends(_preimage(m, b), u, v)),
+    5: lambda b, u, v, m: (_image(m, b) | 1 << m.image(u),),
+    6: lambda b, u, v, m: (_ends(b & ~(1 << m.new_vertex), u, v)
+                           if b >> m.new_vertex & 1 else (b,)),
+    7: lambda b, u, v, m: (b | 1 << m.new_vertex,),
+}

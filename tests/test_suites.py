@@ -1,5 +1,6 @@
 """Property suite machinery: registry, determinism, and report shape."""
 
+import hashlib
 import json
 import random
 import time
@@ -10,14 +11,16 @@ import pytest
 
 from throttlekit import report as report_module
 from throttlekit import suites
-from throttlekit.families import Fixture, _apply_op, enumerate_graphs
-from throttlekit.forcing import Rule
+from throttlekit.families import (Fixture, _apply_op, cycle, enumerate_graphs,
+                                  path, star)
+from throttlekit.forcing import INFINITY, Rule
 from throttlekit.graph import Graph, VertexMap
-from throttlekit.graphio import parse_graph6
+from throttlekit.graphio import format_graph6, parse_graph6
 from throttlekit.report import Report, resolve_workers, run_claims, run_suite
 from throttlekit.suites import SUITES, build_cases, run_case
 from throttlekit.throttling import ThrottleKind
 
+from .oracles import TRANSFER_LIFTS
 from .test_families import CONNECTED_ISO_COUNTS, ISO_COUNTS
 
 # Scopes kept small here; the acceptance tests run the advertised ones.
@@ -195,6 +198,128 @@ def test_operations_match_the_expression_parser(n):
                 created = {"ce": {f"y_{ref}": vmap.image(u)},
                            "se": {f"z_{ref}": vmap.new_vertex}}
                 assert out.vertices == {**images, **created.get(op, {})}
+
+
+def _fake_pt_table(rule, adj, n):
+    # Every start set completes, at a time that ignores the graph, so
+    # the lifted times exceed it at many sets.
+    return tuple(m % 5 + n % 2 for m in range(1 << n))
+
+
+@pytest.mark.parametrize("table", [suites.pt_table, _fake_pt_table],
+                         ids=["pt_table", "fake"])
+def test_transfer_tables_match_per_mask_lifts(table):
+    # Each Lemma 3.1 item's table gives, at every start set B that
+    # completes, the least destination time over B's lifts, taken one
+    # set at a time by the reference in tests/oracles.py.
+    rules = list(Rule) if table is suites.pt_table else [Rule.STANDARD]
+    for n in range(2, 7):
+        for g in enumerate_graphs(n, connected_only=True):
+            for item, (kind, on_h, _, lift) in suites._TRANSFER.items():
+                ops = suites._operations(g, (kind,))
+                for rule in rules:
+                    gtab = table(rule, g.adjacency, n)
+                    for _, u, v, h, m in ops:
+                        htab = table(rule, h.adjacency, h.n)
+                        stab, dtab = (htab, gtab) if on_h else (gtab, htab)
+                        best = lift(dtab, u, v, m)
+                        assert len(best) == len(stab)
+                        for b, pt in enumerate(stab):
+                            if pt != INFINITY:
+                                assert best[b] == min(
+                                    dtab[x] for x in
+                                    TRANSFER_LIFTS[item](b, u, v, m)), (
+                                    g, item, rule, u, v, b)
+
+
+def _unpruned(monkeypatch):
+    # No generators: every operation is its own orbit and is built.
+    real = suites.automorphisms
+    monkeypatch.setattr(suites, "automorphisms",
+                        lambda n, adj: (real(n, adj)[0], []))
+
+
+@pytest.mark.parametrize("name", ["prop3.2", "prop3.12"])
+def test_orbit_pruning_does_not_change_records(monkeypatch, name):
+    cases = build_cases(name, nmax=6)
+    pruned = [run_case(case) for case in cases]
+    _unpruned(monkeypatch)
+    assert [run_case(case) for case in cases] == pruned
+
+
+def test_orbit_mates_name_their_own_edges(monkeypatch):
+    # With G's throttling two too high, most operations break their
+    # bound, so each orbit-mate's violation must name its own edge or
+    # vertex, pruned or not.
+    runners = (suites._run_product_stability, suites._run_one_step_stability)
+    graphs = (cycle(4), star(4), path(3))
+    real = suites.throttling_number
+
+    def outcomes():
+        out = []
+        for g in graphs:
+            monkeypatch.setattr(suites, "_memo", {})
+            monkeypatch.setattr(
+                suites, "throttling_number", lambda rule, kind, h, g=g: (
+                    types.SimpleNamespace(value=real(rule, kind, h).value
+                                          + 2 * (h == g))))
+            out += [runner(g, {}) for runner in runners]
+        return out
+
+    pruned = outcomes()
+    _unpruned(monkeypatch)
+    assert outcomes() == pruned
+    c4_one_step = pruned[1][0]
+    for u, v in cycle(4).edges():
+        assert f"(2) deleting ({u},{v}) gives" in " ".join(c4_one_step)
+    for x in range(4):
+        assert f"(1) deleting vertex {x} gives" in " ".join(c4_one_step)
+
+
+def test_orbit_pruning_builds_one_surgery_per_orbit(monkeypatch):
+    # C6 has one edge orbit and one vertex orbit: one deletion,
+    # contraction and subdivision of an edge and one vertex deletion
+    # are built and keyed, against 6 * 3 + 6 builds without generators.
+    # G's own key comes from the search that gives the generators.
+    calls, keyed = [], []
+    for name in ("delete_vertex", "delete_edge", "contract_edge",
+                 "subdivide_edge"):
+        def counted(*args, _orig=getattr(Graph, name), _name=name):
+            calls.append(_name)
+            return _orig(*args)
+        monkeypatch.setattr(Graph, name, counted)
+    real_key = suites.invariant_key
+    monkeypatch.setattr(suites, "invariant_key",
+                        lambda n, adj: keyed.append(adj) or real_key(n, adj))
+    case = ("c6", "prop3.12", {"graph6": format_graph6(cycle(6))})
+    assert run_case(case)["passed"]
+    assert sorted(calls) == ["contract_edge", "delete_edge", "delete_vertex",
+                             "subdivide_edge"]
+    assert len(keyed) == 4
+    calls.clear()
+    _unpruned(monkeypatch)
+    assert run_case(case)["passed"]
+    assert len(calls) == 24
+
+
+# sha256 of each suite's records, as JSON with sorted keys, at the given
+# nmax, from the code that built and keyed every surgery and lifted
+# every start set one at a time.
+RECORD_DIGESTS = {
+    ("prop3.2", 6):
+        "84a1b337e400beb1cdb67b82b25c7c1611256484e3c20f50e8796b5234c44518",
+    ("prop3.12", 6):
+        "9a71d0b0a59eb7748a3cbb785d6341acfdb00375b67b0bca3faea377b8f5b663",
+    ("lemma3.1", 5):
+        "27a96743d68f1708f2f7bf755374cb4c24b6f2e240eec8dd9fc06a72d5a5b3c7",
+}
+
+
+@pytest.mark.parametrize("name, nmax", sorted(RECORD_DIGESTS))
+def test_records_match_pinned_digests(name, nmax):
+    records = run_suite(name, nmax=nmax, workers=1).records
+    text = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == RECORD_DIGESTS[name, nmax]
 
 
 def test_budget_sampling_is_deterministic():
