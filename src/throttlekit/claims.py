@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 from .families import Fixture, parse_graph_expression
 from .forcing import (
-    INFINITY,
     Rule,
     forcing_number,
+    json_time,
     k_propagation_time,
     propagation_time,
 )
@@ -59,15 +59,14 @@ def compute_measure(fx: Fixture, measure: tuple):
         return throttling_number(_RULES[measure[1]], _KINDS[measure[2]], g).value
     if head == "pt_at_size":
         value, _ = k_propagation_time(_RULES[measure[1]], g, measure[2])
-        return None if value == INFINITY else value
+        return json_time(value)
     if head == "pt_of_set":
-        value = propagation_time(_RULES[measure[1]], g,
-                                 _names_to_set(fx, measure[2]))
-        return None if value == INFINITY else value
+        return json_time(propagation_time(_RULES[measure[1]], g,
+                                          _names_to_set(fx, measure[2])))
     if head == "throttle_of_set":
-        value = throttling_of_set(_RULES[measure[1]], _KINDS[measure[2]], g,
-                                  _names_to_set(fx, measure[3]))
-        return None if value == INFINITY else value
+        return json_time(throttling_of_set(
+            _RULES[measure[1]], _KINDS[measure[2]], g,
+            _names_to_set(fx, measure[3])))
     if head == "one_step_forcing":
         return one_step_forcing_number(g)[0]
     if head == "is_matched_sum":

@@ -26,10 +26,10 @@ from .families import (
     parse_graph_expression,
 )
 from .forcing import (
-    INFINITY,
     Rule,
     graph_propagation_time,
     forcing_number,
+    json_time,
     k_propagation_time,
     propagate,
     propagation_time,
@@ -47,11 +47,7 @@ from .suites import SUITES
 
 def _fmt_time(value) -> str:
     """A time as text; None is a JSON record's infinity."""
-    return "infinity" if value is None or value == INFINITY else str(value)
-
-
-def _json_time(value):
-    return None if value == INFINITY else value
+    return "infinity" if json_time(value) is None else str(value)
 
 
 def _print_json(command: str, **body) -> None:
@@ -125,16 +121,16 @@ def _compute_one(label: str, fx: Fixture, args) -> dict:
                 record["k"] = args.k
             else:
                 value, witness = graph_propagation_time(rule, g)
-        record["value"] = _json_time(value)
+        record["value"] = json_time(value)
         record["witness"] = None if witness is None else list(witness.members)
     else:
         kind = ThrottleKind(args.kind)
         record["kind"] = args.kind
         if initial is not None:
             value = throttling_of_set(rule, kind, g, initial)
-            record["value"] = _json_time(value)
+            record["value"] = json_time(value)
             record["witness"] = list(initial.members)
-            record["propagation_time"] = _json_time(
+            record["propagation_time"] = json_time(
                 propagation_time(rule, g, initial))
         else:
             result = throttling_number(rule, kind, g, with_table=args.per_k)

@@ -22,9 +22,9 @@ from importlib import resources
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .graph import Graph, VertexMap
+from .graph import Graph, VertexMap, unions
 from .graphio import read_edge_list
-from .iso import automorphisms, invariant_key
+from .iso import automorphisms, invariant_key, orbit_firsts
 
 MAX_ENUMERATION_ORDER = 9
 
@@ -485,8 +485,8 @@ def _iso_classes(n: int) -> tuple[Graph, ...]:
     order; the first candidate of each isomorphism class is kept, so
     the representatives, their labels and their order are fixed.
 
-    A mask m that an automorphism sigma of the parent (one of the
-    generators the canonical search meets) maps to a lower mask is never
+    A mask m that a generator sigma of the parent's automorphisms maps
+    lower is not an ``iso.orbit_firsts`` representative and is never
     keyed: the candidate for sigma(m) is isomorphic to m's and comes
     earlier, so m cannot be the first of its class.
     """
@@ -496,17 +496,10 @@ def _iso_classes(n: int) -> tuple[Graph, ...]:
     seen: set[tuple[int, ...]] = set()
     for parent in _iso_classes(n - 1):
         base = parent.adjacency
-        lower: set[int] = set()
-        for sigma in automorphisms(n - 1, base)[1]:
-            # image[m] is sigma(m).  Vertex v goes to w, and the masks
-            # from 2^v to 2^(v+1) - 1 are those below 2^v plus v.
-            image = [0]
-            for w in sigma:
-                bit = 1 << w
-                image += [x | bit for x in image]
-            lower.update(m for m, x in enumerate(image) if x < m)
-        for mask in range(1 << (n - 1)):
-            if mask in lower:
+        images = [unions([1 << w for w in sigma])
+                  for sigma in automorphisms(n - 1, base)[1]]
+        for mask, rep in orbit_firsts(range(1 << (n - 1)), images).items():
+            if rep != mask:
                 continue
             adj = tuple(
                 base[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)

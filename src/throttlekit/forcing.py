@@ -85,6 +85,12 @@ BLOCK_MIN_SETS = 80
 
 Time = Union[int, float]
 
+
+def json_time(t: Time) -> Optional[int]:
+    """A time as JSON spells it: None for a stall (INFINITY)."""
+    return None if t == INFINITY else t
+
+
 # Largest order pt_table accepts: a table holds 2**n times, and no suite
 # goes past order 10, order 9 plus a subdivision.
 MAX_TABLE_ORDER = 16
@@ -248,14 +254,13 @@ class PropagationTrace:
         return self.filled_after(len(self.steps))
 
     def to_dict(self) -> dict:
-        pt = self.propagation_time
         return {
             "rule": self.rule.value,
             "order": self.graph.n,
             "initial": list(self.initial.members),
             "steps": [list(s.members) for s in self.steps],
             "completed": self.completed,
-            "propagation_time": None if pt == INFINITY else pt,
+            "propagation_time": json_time(self.propagation_time),
         }
 
 

@@ -28,6 +28,15 @@ def bits(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
+def unions(parts: Iterable[int]) -> list[int]:
+    """The union of ``parts[i]`` over the members i, for every mask:
+    the masks from 2^i to 2^(i+1) - 1 are those below 2^i plus i."""
+    out = [0]
+    for part in parts:
+        out += [x | part for x in out]
+    return out
+
+
 def _without_vertex(rows: Iterable[int], x: int) -> list[int]:
     """The rows but row x, less bit x, with the bits above x moved down."""
     low = (1 << x) - 1

@@ -8,10 +8,12 @@ exactly for isomorphic graphs.  That leaf also orders the vertices, so
 search is one recursive function that takes the best leaf so far and
 returns the new best, so no call leaves a cycle for the collector.
 Given a list, the same search also collects the automorphisms it meets
-on the way, which ``automorphisms`` returns with the key as generators
-of the group.
+on the way: ``automorphisms`` returns them with the key, and
+``orbit_firsts`` picks a representative per orbit of what they act on.
 """
 from __future__ import annotations
+
+from typing import Iterable, Sequence
 
 from .graph import Graph, bits
 
@@ -146,6 +148,25 @@ def automorphisms(n: int, adj: tuple[int, ...]
     every graph to order 7)."""
     gens: list[tuple[int, ...]] = []
     return _canonical(n, adj, gens)[0], gens
+
+
+def orbit_firsts(items: Iterable[int], gens: Sequence[Sequence[int]]
+                 ) -> dict[int, int]:
+    """Each item mapped to itself or to an earlier member of its orbit
+    under ``gens``, each generator the table of the items' images: an
+    item that a generator maps to one already seen takes that one's
+    value.  This matched the closure (``tests/oracles.py``) on the
+    vertices and edges of every graph to order 8 and the extension masks
+    to order 7."""
+    first: dict[int, int] = {}
+    for x in items:
+        for sigma in gens:
+            if sigma[x] in first:
+                first[x] = first[sigma[x]]
+                break
+        else:
+            first[x] = x
+    return first
 
 
 def _iso_adj(n: int, adj_a: tuple[int, ...], adj_b: tuple[int, ...]) -> tuple[int, ...] | None:

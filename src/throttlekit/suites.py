@@ -22,8 +22,8 @@ a process-level memo keyed by each graph's canonical key holds values
 only, never a witness, since the colex-least witness depends on the
 labeling.  They also share surgeries within a case: one canonical
 search of the graph gives its key and its automorphism generators, and
-only the first operation of each orbit is built and keyed; the others
-keep their own place and labels in the output and reuse its graph.
+only the operations on ``iso.orbit_firsts`` representatives are built
+and keyed; the others keep their place and labels and reuse a graph.
 
 ``lemma3.1`` lifts start sets by table: each item gives the best time
 on the other graph for every start set at once, reading tables of the
@@ -35,12 +35,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .graph import Graph, VertexMap, VertexSet, bits, mask_components
+from .graph import Graph, VertexMap, VertexSet, bits, mask_components, unions
 from .graphio import format_graph6, parse_graph6
 from .families import MAX_ENUMERATION_ORDER, OPERATIONS, enumerate_graphs
-from .iso import automorphisms, invariant_key
+from .iso import automorphisms, invariant_key, orbit_firsts
 from .forcing import (
     Rule,
     _psd_step,
@@ -226,32 +226,6 @@ _DOING = {"de": "deleting ({u},{v})", "ce": "contracting ({u},{v})",
           "se": "subdividing ({u},{v})", "dv": "deleting vertex {u}"}
 
 
-def _first_of_orbit(items: Iterable, gens: Sequence[tuple[int, ...]],
-                    image: Callable) -> dict:
-    """Each item mapped to the first item of its orbit, in the order of
-    ``items``, under the group that ``gens`` generate; ``image(sigma,
-    x)`` is sigma(x)."""
-    first: dict = {}
-    for x in items:
-        if x in first:
-            continue
-        first[x] = x
-        todo = [x]
-        while todo:
-            y = todo.pop()
-            for sigma in gens:
-                z = image(sigma, y)
-                if z not in first:
-                    first[z] = x
-                    todo.append(z)
-    return first
-
-
-def _edge_image(sigma: tuple, e: tuple[int, int]) -> tuple[int, int]:
-    a, b = sigma[e[0]], sigma[e[1]]
-    return (a, b) if a < b else (b, a)
-
-
 def _operations(g: Graph, kinds: tuple = ("de", "ce", "se", "dv"),
                 gens: Sequence[tuple[int, ...]] = ()) -> list:
     """Each local operation of the given kinds on g.
@@ -263,27 +237,27 @@ def _operations(g: Graph, kinds: tuple = ("de", "ce", "se", "dv"),
     ("se"), then each vertex deletion ("dv", u the vertex, v None) when
     g has at least two vertices.
 
-    Given automorphisms ``gens`` of g, only the first operation of each
-    orbit of the group they generate is built, edges taken unordered:
-    an automorphism maps each later graph of the orbit onto the first
-    one's.  A later entry keeps its place and its own (u, v) but shares
-    the first one's H, with vmap None, since that map names the first
-    one's labels.
+    Given automorphisms ``gens`` of g, only the operations on the
+    ``iso.orbit_firsts`` representatives of the edges and vertices, as
+    vertex masks under each generator's ``graph.unions`` table, are
+    built.  Each other site's representative is an earlier site in the
+    same orbit, so an automorphism maps its graph onto the
+    representative's: it keeps its place and its own (u, v) but shares
+    that H, with vmap None, since H's map names the other site's labels.
     """
-    edges = g.edges()
-    first = _first_of_orbit(edges, gens, _edge_image)
-    sites = [(op, e, first[e]) for e in edges
+    sites = [(op, (u, v), 1 << u | 1 << v) for u, v in g.edges()
              for op in ("de", "ce", "se") if op in kinds]
     if "dv" in kinds and g.n >= 2:
-        first = _first_of_orbit(range(g.n), gens, lambda sigma, x: sigma[x])
-        sites += [("dv", (x, None), (first[x], None)) for x in range(g.n)]
+        sites += [("dv", (x, None), 1 << x) for x in range(g.n)]
+    tables = [unions([1 << w for w in sigma]) for sigma in gens]
+    first = orbit_firsts(dict.fromkeys(m for _, _, m in sites), tables)
     built: dict = {}
     ops = []
-    for op, site, rep in sites:
-        if site == rep:
-            h, vmap = built[op, site] = OPERATIONS[op][2](g, *site)
+    for op, site, m in sites:
+        if first[m] == m:
+            h, vmap = built[op, m] = OPERATIONS[op][2](g, *site)
         else:
-            h, vmap = built[op, rep][0], None
+            h, vmap = built[op, first[m]][0], None
         ops.append((op, *site, h, vmap))
     return ops
 
@@ -299,16 +273,7 @@ def _orbit_operations(g: Graph) -> tuple[dict, list]:
 # Lemma 3.1 lifts.  Each takes the destination graph's table d of
 # times, the operation's (u, v) and its map m, and gives the best time
 # on the destination over the lifts of each source mask B, for every B
-# in order.  Masks of a derived graph are carried through tables of all
-# 2^n sets built by doubling one vertex at a time.
-
-def _unions(parts: list[int]) -> list[int]:
-    """The union of ``parts[i]`` over the members i, for every mask."""
-    out = [0]
-    for part in parts:
-        out += [x | part for x in out]
-    return out
-
+# in order, carrying masks through ``graph.unions`` tables of all 2^n sets.
 
 def _preimages(m: VertexMap) -> list[int]:
     """The source vertices whose image lies in B, for every target B."""
@@ -316,7 +281,7 @@ def _preimages(m: VertexMap) -> list[int]:
     for x in range(m.source_order):
         if m.image(x) is not None:
             parts[m.image(x)] |= 1 << x
-    return _unions(parts)
+    return unions(parts)
 
 
 def _lift_end(d: list, u: int, v: int, m: Optional[VertexMap]) -> list:
@@ -338,7 +303,7 @@ def _lift_split(d: list, u: int, v: int, m: VertexMap) -> list:
 def _lift_push(d: list, u: int, v: int, m: VertexMap) -> list:
     merged = 1 << m.image(u)
     return [d[x | merged] for x in
-            _unions([1 << m.image(x) for x in range(m.source_order)])]
+            unions([1 << m.image(x) for x in range(m.source_order)])]
 
 
 # Lemma 3.1, item -> (operation, whether the start set B lives on the

@@ -39,6 +39,7 @@ from .forcing import (
     _cheapest,
     _pt,
     _size_masks,
+    json_time,
     k_propagation_time,
 )
 from .graph import Graph, VertexSet, bits
@@ -95,7 +96,7 @@ class ThrottlingResult:
         if self.table is not None:
             out["table"] = {
                 str(k): {
-                    "value": None if v == INFINITY else v,
+                    "value": json_time(v),
                     "witness": None if w is None else list(w.members),
                 }
                 for k, (v, w) in self.table.items()

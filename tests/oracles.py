@@ -309,3 +309,24 @@ TRANSFER_LIFTS = {
                            if b >> m.new_vertex & 1 else (b,)),
     7: lambda b, u, v, m: (b | 1 << m.new_vertex,),
 }
+
+
+def orbit_closure_firsts(items, gens, image):
+    """Each item mapped to the first item of its orbit, in the order of
+    ``items``, under the group that ``gens`` generate; ``image(sigma,
+    x)`` is sigma(x).  Each new item's orbit is closed by a search over
+    the generators."""
+    first = {}
+    for x in items:
+        if x in first:
+            continue
+        first[x] = x
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            for sigma in gens:
+                z = image(sigma, y)
+                if z not in first:
+                    first[z] = x
+                    todo.append(z)
+    return first

@@ -2,14 +2,17 @@
 
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
 
+from throttlekit import claims, suites
 from throttlekit.cli import main
 from throttlekit.families import path
 from throttlekit.graphio import format_graph6
@@ -117,6 +120,36 @@ def test_compute_per_k_prints_infinity_for_stalled_sizes(capsys):
     ]
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("--rule", "psd", "--parameter", "number", "--fixture", "book:3"), "2"),
+    # Neither --k nor --set: the least time over all start sets.
+    (("--rule", "psd", "--parameter", "pt", "--fixture", "book:3"), "1"),
+    (("--rule", "pd", "--kind", "prodx", "--set", "c1,c2", "--fixture",
+      "fig5_K2corona"), "4"),
+    (("--rule", "zf", "--kind", "sum", "--set", "1", "--fixture", "P4"),
+     "infinity"),
+])
+def test_compute_prints_one_value(capsys, argv, text):
+    code, out, err = run(capsys, "compute", *argv)
+    assert (code, out, err) == (0, text + "\n", "")
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (("--rule", "pd", "--kind", "prodx", "--set", "c1,c2", "--fixture",
+      "fig5_K2corona"),
+     {"id": "fig5_K2corona", "order": 6, "kind": "prodx", "value": 4,
+      "witness": [0, 1], "propagation_time": 1, "rule": "pd"}),
+    # A start set that stalls has no finite cost or time: both are null.
+    (("--rule", "zf", "--kind", "sum", "--set", "1", "--fixture", "P4"),
+     {"id": "P4", "order": 4, "kind": "sum", "value": None, "witness": [1],
+      "propagation_time": None, "rule": "zf"}),
+])
+def test_compute_json_record_of_a_given_set(capsys, argv, fields):
+    code, out, _ = run(capsys, "compute", *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["records"] == [fields]
+
+
 def test_compute_requires_exactly_one_source(capsys):
     code, _, err = run(capsys, "compute", "--rule", "zf", "--kind", "sum")
     assert code == 2
@@ -191,6 +224,7 @@ def test_compute_rejects_bad_graph6(capsys):
      "--parameter gamma does not apply to --rule psd"),
     (("--parameter", "pt"), "this computation requires --rule"),
     (("--kind", "prodstar"), "this computation requires --rule"),
+    (("--rule", "zf", "--kind", "sum", "--trace"), "--trace requires --set"),
 ])
 def test_compute_rejects_ignored_options(capsys, argv, message):
     code, out, err = run(capsys, "compute", "--fixture", "path:5", *argv)
@@ -244,6 +278,54 @@ def test_paper_suite_filtered(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert "0 failed" in lines[-1]
+
+
+def _timeless(text):
+    """Output with each report's wall time blanked."""
+    return re.sub(r"\[\d+\.\ds\]", "[-]", text).splitlines()
+
+
+def test_paper_suite_prints_fail_lines(capsys, monkeypatch):
+    monkeypatch.setattr(claims, "compute_measure", lambda fx, measure: -1)
+    code, out, _ = run(capsys, "paper-suite", "--filter", "figure=7",
+                       "--workers", "1")
+    assert code == 1
+    assert _timeless(out) == [
+        "FAIL  fig7-subdiv-thx-pd                 throttling/pd/prodx"
+        "                expected 6, got -1  [fig7_subdiv/se:e]",
+        "FAIL  fig7-thx-pd                        throttling/pd/prodx"
+        "                expected 3, got -1  [fig7_subdiv]",
+        "2 claims: 0 passed, 2 failed [-]",
+    ]
+
+
+def test_props_caps_fail_lines(capsys, monkeypatch):
+    # Every thzx case fails when the order is off by one: 52 failures to
+    # order 5, of which the first 20 are spelled out.
+    monkeypatch.setattr(suites, "throttling_number",
+                        lambda rule, kind, g: types.SimpleNamespace(
+                            value=g.n + 1))
+    code, out, _ = run(capsys, "props", "--suite", "thzx", "--nmax", "5",
+                       "--workers", "1")
+    assert code == 1
+    lines = _timeless(out)
+    assert len(lines) == 22
+    assert lines[:3] == [
+        "suite thzx: 52 cases, 52 failures [-]",
+        "  FAIL thzx-n1-g0 @: initial-cost product 2 != order 1",
+        "  FAIL thzx-n2-g0 A?: initial-cost product 3 != order 2",
+    ]
+    assert all(line.startswith("  FAIL thzx-n") for line in lines[1:21])
+    assert lines[20] == "  FAIL thzx-n5-g1 D?_: initial-cost product 6 != order 5"
+    assert lines[21] == "  ... more failures omitted (32 total remain)"
+
+
+def test_props_all_suites(capsys):
+    code, out, _ = run(capsys, "props", "--suite", "all", "--nmax", "4",
+                       "--budget", "2", "--workers", "1")
+    assert code == 0
+    assert _timeless(out) == [f"suite {name}: 2 cases, 0 failures [-]"
+                              for name in suites.SUITES]
 
 
 def test_paper_suite_json(capsys):

@@ -1,6 +1,9 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given
+from networkx.readwrite.graph6 import n_to_data
 
 from throttlekit.graph import Graph
 from throttlekit.graphio import (
@@ -65,6 +68,8 @@ def test_graph6_rejects_garbage():
     assert exc.value.offset == 1
     with pytest.raises(FormatError):
         parse_graph6("C")  # truncated: order 4 needs one data byte
+    with pytest.raises(FormatError, match="graph6 data is not ascii"):
+        parse_graph6("C\u00e9")
 
 
 @pytest.mark.parametrize("record, bare, headed", [
@@ -81,6 +86,42 @@ def test_graph6_error_offsets(record, bare, headed):
         with pytest.raises(FormatError) as exc:
             parse_graph6(text)
         assert exc.value.offset == offset, text
+
+
+def _sparse(n):
+    """A seeded graph of order n with about 2n edges."""
+    rnd = random.Random(n)
+    return Graph(n, {tuple(sorted(rnd.sample(range(n), 2)))
+                     for _ in range(2 * n)})
+
+
+@pytest.mark.parametrize("n", [62, 63, 64, 65, 100, 127, 128, 300])
+def test_graph6_agrees_with_networkx_past_one_byte_orders(n):
+    # Order 62 is the last one-byte N(n) field; from 63 it takes four.
+    g = _sparse(n)
+    theirs = nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
+    assert format_graph6(g) == theirs
+    assert parse_graph6(theirs) == g
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 5000])
+def test_graph6_order_field_matches_networkx(n):
+    # The high group of the four-byte field is first nonzero at 4096.
+    # networkx's encoder takes seconds here, so its N(n) field stands in
+    # for it; the data bytes are checked against it at the orders above.
+    g = Graph(n, [(0, 1), (1, 2), (n - 2, n - 1)])
+    text = format_graph6(g)
+    assert text[:4] == bytes(63 + x for x in n_to_data(n)).decode()
+    assert parse_graph6(text) == g
+
+
+def test_graph6_eight_byte_order_field():
+    # "~~" and six groups also spell an order; 63 is "~~?????~" there and
+    # "~??~" in the four-byte form that format_graph6 writes.
+    g = _sparse(63)
+    text = format_graph6(g)
+    assert text[:4] == "~??~"
+    assert parse_graph6("~~?????~" + text[4:]) == parse_graph6(text) == g
 
 
 def test_graph6_rejects_padding_bits():
@@ -128,6 +169,12 @@ def test_edge_list_rejects_malformed_lines():
     assert exc.value.line == 1
     with pytest.raises(FormatError):
         list(read_edge_list("x\n"))
+    with pytest.raises(FormatError, match="negative order -1") as exc:
+        list(read_edge_list("2\n0 1\n-1\n"))
+    assert exc.value.line == 3
+    with pytest.raises(FormatError, match="expected 'u v' integers") as exc:
+        list(read_edge_list("2\n0 x\n"))
+    assert exc.value.line == 2
 
 
 def test_edge_list_refuses_orders_graph6_cannot_encode():

@@ -17,14 +17,16 @@ from throttlekit.families import (
     path,
     star,
 )
-from throttlekit.graph import Graph
+from throttlekit.graph import Graph, unions
 from throttlekit.iso import (
     are_isomorphic,
     automorphisms,
     find_isomorphism,
     invariant_key,
+    orbit_firsts,
 )
 
+from .oracles import orbit_closure_firsts
 from .strategies import graphs
 
 
@@ -181,6 +183,56 @@ def test_automorphisms_generate_the_whole_group():
         matcher = nx.algorithms.isomorphism.GraphMatcher(to_nx(g), to_nx(g))
         expected = sum(1 for _ in matcher.isomorphisms_iter())
         assert group_order(g.n, automorphisms(g.n, g.adjacency)[1]) == expected
+
+
+def _vertex_image(sigma, x):
+    return sigma[x]
+
+
+def _edge_image(sigma, e):
+    return tuple(sorted((sigma[e[0]], sigma[e[1]])))
+
+
+def _mask_image(sigma, m):
+    return sum(1 << sigma[v] for v in range(len(sigma)) if m >> v & 1)
+
+
+def test_orbit_firsts_match_the_orbit_closure():
+    # The one-generator rule against the closure: the vertices and
+    # unordered edges of every graph to order 8, and the extension masks
+    # of every parent to order 7.  As in the package, edges and masks go
+    # to orbit_firsts as vertex masks under each generator's unions
+    # table; the closure maps pairs and masks vertex by vertex.
+    for n in range(1, 9):
+        for g in enumerate_graphs(n):
+            gens = automorphisms(n, g.adjacency)[1]
+            tables = [unions([1 << w for w in s]) for s in gens]
+            vertices = range(n)
+            assert (orbit_firsts(vertices, gens)
+                    == orbit_closure_firsts(vertices, gens, _vertex_image))
+            closure = orbit_closure_firsts(g.edges(), gens, _edge_image)
+            assert orbit_firsts([1 << u | 1 << v for u, v in g.edges()],
+                                tables) == {
+                1 << u | 1 << v: 1 << a | 1 << b
+                for (u, v), (a, b) in closure.items()}
+            if n <= 7:
+                masks = range(1 << n)
+                assert (orbit_firsts(masks, tables)
+                        == orbit_closure_firsts(masks, gens, _mask_image))
+
+
+def test_orbit_firsts_is_one_generator_step_not_the_closure():
+    # Under the cycle 0 -> 1 -> 2 -> 0, item 1's only image is 2, not
+    # yet seen, so 1 stays its own representative, though the closure
+    # gives 0.  Every representative is still its own and an earlier
+    # member of the same orbit.
+    gens = [(1, 2, 0)]
+    first = orbit_firsts(range(3), gens)
+    closure = orbit_closure_firsts(range(3), gens, _vertex_image)
+    assert first == {0: 0, 1: 1, 2: 0}
+    assert closure == {0: 0, 1: 0, 2: 0}
+    assert all(first[first[x]] == first[x] <= x for x in first)
+    assert all(closure[first[x]] == closure[x] for x in first)
 
 
 def test_search_leaves_no_garbage():

@@ -517,6 +517,122 @@ def test_failure_witnesses_are_pinned(monkeypatch):
         assert (record["computed"], record["witness"]) == expected, name
 
 
+def _valued(value):
+    """A throttling_number stand-in: ``value(g)`` (or the constant) with
+    the whole vertex set as witness."""
+    return lambda rule, kind, g: types.SimpleNamespace(
+        value=value(g) if callable(value) else value,
+        witness=g.vertex_set(range(g.n)))
+
+
+def _certified(value, pt):
+    """A power_domination_certificate stand-in."""
+    return lambda g, kind: types.SimpleNamespace(
+        value=value, propagation_time=pt, branch="fake",
+        power_set=g.vertex_set([0]))
+
+
+# Failing records of the runners whose violation branches no real graph
+# reaches, each forced by stand-ins for the names the runner reads, on
+# P4 ("Ch"), P3 ("Bg") or P7 ("FhCGG").  Entries are (suite, graph6,
+# stand-ins, (computed, witness)).
+FORCED_FAILURES = [
+    ("ore", "Ch",
+     {"domination_number": lambda g: (3, g.vertex_set([0, 1, 2]))},
+     ("gamma=3", "gamma=3 > n/2 with n=4, minimum set {0,1,2}")),
+    ("lemma2.2", "Ch",
+     {"external_private_neighbors": lambda g, d, v: g.vertex_set(())},
+     ("2 violation(s)",
+      "D={1,2}: member 1 has no external private neighbor; "
+      "D={1,2}: member 2 has no external private neighbor")),
+    ("lemma2.3", "Ch",
+     {"external_private_neighbors": lambda g, d, v: g.vertex_set(())},
+     ("1 violation(s)",
+      "optimal D={1,2}: member 1 has no external private neighbor")),
+    ("thm2.4", "Ch",
+     {"power_domination_certificate": _certified(4, 3),
+      "throttling_number": _valued(5)},
+     ("certificate=4 (fake), exact=5",
+      "certificate propagation time 3 > 2 (branch fake); "
+      "certificate value 4 > 6n/7, n=4, set {0}; "
+      "exhaustive value 5 exceeds certificate value 4; "
+      "exhaustive value 5 > 6n/7, n=4, witness {0,1,2,3}")),
+    ("thm2.4", "FhCGG",
+     {"throttling_number": _valued(6),
+      "domination_number": lambda g: (2, g.vertex_set([0, 1]))},
+     ("certificate=6 (small-dominating-set), exact=6",
+      "value 6n/7 attained but gamma=2 != 3n/7, n=7")),
+    ("thm2.7", "Ch",
+     {"power_domination_certificate": _certified(4, 1),
+      "throttling_number": _valued(5)},
+     ("certificate=4 (fake), exact=5",
+      "certificate value 4 > floor(n/3)+2=3, set {0}; "
+      "exhaustive value 5 exceeds certificate value 4; "
+      "exhaustive value 5 > 3, witness {0,1,2,3}")),
+    ("thm3.10", "Ch", {"throttling_number": _valued(1)},
+     ("value=1, one-step=2",
+      "no-cost product value 1 differs from least one-step size 2 ({1,2}); "
+      "value 1 below half the order 4")),
+    ("thm3.11", "Ch", {"is_matched_sum": lambda g: (False, None)},
+     ("value=2, matched=False",
+      "value 2 on order 4 but matched-sum test says False (no half)")),
+    ("thm3.11", "Ch",
+     {"is_matched_sum": lambda g: (True, g.vertex_set([0, 1])),
+      "throttling_number": _valued(3)},
+     ("value=3, matched=True",
+      "value 3 on order 4 but matched-sum test says True (half {0,1})")),
+    ("thzx", "Ch", {"throttling_number": _valued(lambda g: g.n + 1)},
+     ("value=5", "initial-cost product 5 != order 4")),
+    ("remark1.1", "Ch",
+     {"forcing_number": lambda rule, g: (g.n, None),
+      "throttling_number": _valued(lambda g: g.n)},
+     ("number=4, sum=4, x=4, star=4",
+      "completing number 4 outside [1,3]; "
+      "initial-cost product 4 outside [5,4]; sum value 4 outside [5,4]; "
+      "no-cost product 4 outside [1,3]")),
+    ("universal-vertex", "Ch", {"throttling_number": _valued(1)},
+     ("1 violation(s)",
+      "no-cost==1 is True, universal is False, initial-cost==2 is False")),
+    ("psd-step", "Bg", {"_psd_step": lambda adj, b, full: 0},
+     ("6 violation(s)",
+      "B={0}: direct {}, per-component {1}; "
+      "B={1}: direct {}, per-component {0,2}; "
+      "B={0,1}: direct {}, per-component {2}; "
+      "B={2}: direct {}, per-component {1}")),
+]
+
+
+@pytest.mark.parametrize("name,g6,stand_ins,expected", FORCED_FAILURES)
+def test_forced_failure_records_are_pinned(monkeypatch, name, g6, stand_ins,
+                                           expected):
+    for attr, stand_in in stand_ins.items():
+        monkeypatch.setattr(suites, attr, stand_in)
+    payload = {"graph6": g6, **({"rule": "zf"} if name == "remark1.1" else {})}
+    record = run_case(("forced", name, payload))
+    assert record["passed"] is False
+    assert (record["computed"], record["witness"]) == expected
+
+
+def test_value_memo_is_cleared_at_its_limit(monkeypatch):
+    # With room for 4 values, prop3.2 clears the memo over and over and
+    # must still write the records of an unbounded memo.
+    monkeypatch.setattr(suites, "_memo", {})
+    reference = run_suite("prop3.2", nmax=5, workers=1).records
+
+    class Watched(dict):
+        largest = 0
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            Watched.largest = max(Watched.largest, len(self))
+
+    memo = Watched()
+    monkeypatch.setattr(suites, "_MEMO_LIMIT", 4)
+    monkeypatch.setattr(suites, "_memo", memo)
+    assert run_suite("prop3.2", nmax=5, workers=1).records == reference
+    assert Watched.largest == 4
+
+
 def test_isolation_witness_is_pinned(monkeypatch):
     # On the path P4 (graph6 "Ch") the one optimal dominating set is
     # {1,2}.  With every other vertex offered as a private neighbor of
