@@ -81,19 +81,25 @@ def evaluate_claim(claim: Claim) -> dict:
     fx = parse_graph_expression(claim.expr)
     if claim.measure[0] == "isomorphic_to":
         other = parse_graph_expression(str(claim.expected))
-        computed = are_isomorphic(fx.graph, other.graph)
-        expected: object = True
-        check = "iso"
-    else:
-        computed = compute_measure(fx, claim.measure)
-        expected = claim.expected
-        check = "eq"
+        return _claim_record(claim, are_isomorphic(fx.graph, other.graph))
+    return _claim_record(claim, compute_measure(fx, claim.measure))
+
+
+def failed_claim(claim: Claim, error: BaseException) -> dict:
+    """The failing record of a claim that raised or lost its worker."""
+    return {**_claim_record(claim, f"error: {error!r}"), "passed": False}
+
+
+def _claim_record(claim: Claim, computed: object) -> dict:
+    iso = claim.measure[0] == "isomorphic_to"
+    # An isomorphism claim expects True; its record shows the other graph.
+    expected = True if iso else claim.expected
     return {
         "id": claim.id,
         "expr": claim.expr,
         "measure": list(claim.measure),
-        "check": check,
-        "expected": expected if check != "iso" else str(claim.expected),
+        "check": "iso" if iso else "eq",
+        "expected": str(claim.expected) if iso else expected,
         "computed": computed,
         "passed": computed == expected,
         "tags": dict(claim.tags),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import textwrap
 from typing import Optional
 
 from .graph import VertexSet
@@ -82,14 +83,14 @@ def _check_compute_options(args) -> None:
     pt = args.parameter == "pt"
     if args.k is not None and not pt:
         raise ValueError("--k requires --parameter pt")
-    if args.set and args.k is not None:
+    if args.set is not None and args.k is not None:
         raise ValueError("--k and --set cannot be combined")
-    if args.set and args.parameter and not pt:
+    if args.set is not None and args.parameter and not pt:
         raise ValueError(
             f"--set does not apply to --parameter {args.parameter}")
-    if args.per_k and (args.parameter or args.set):
+    if args.per_k and (args.parameter or args.set is not None):
         raise ValueError("--per-k requires --kind without --set")
-    if args.trace and not args.set:
+    if args.trace and args.set is None:
         raise ValueError("--trace requires --set")
     # gamma uses no rule, and k1 is the standard one-step forcing number.
     if args.rule and (args.parameter == "gamma" or
@@ -104,7 +105,7 @@ def _compute_one(label: str, fx: Fixture, args) -> dict:
     g = fx.graph
     record: dict = {"id": label, "order": g.n}
     rule = Rule(args.rule) if args.rule else None
-    initial = _parse_set(args.set, fx) if args.set else None
+    initial = None if args.set is None else _parse_set(args.set, fx)
     if args.parameter:
         record["parameter"] = args.parameter
         if args.parameter == "gamma":
@@ -331,7 +332,12 @@ def _build_parser() -> argparse.ArgumentParser:
     paper.set_defaults(func=_cmd_paper_suite)
 
     props = sub.add_parser(
-        "props", help="run a property suite over enumerated graphs")
+        "props", help="run a property suite over enumerated graphs",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="suites:\n" + "\n".join(textwrap.fill(
+            spec.description, 79, break_on_hyphens=False,
+            initial_indent=f"  {name:18}",
+            subsequent_indent=" " * 20) for name, spec in SUITES.items()))
     props.add_argument("--suite", required=True,
                        help="suite name or 'all' (see below)",
                        metavar="{" + ",".join(SUITES) + ",all}")

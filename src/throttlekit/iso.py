@@ -3,8 +3,10 @@
 One individualization-refinement search (McKay & Piperno, "Practical
 graph isomorphism II", 2014) gives two answers.  Its least leaf
 certificate is ``invariant_key``, a complete canonical key: equal
-exactly for isomorphic graphs.  That leaf also orders the vertices, so
-``find_isomorphism`` maps one graph's order onto the other's.  The
+exactly for isomorphic graphs.  It lists the adjacency rows in the
+leaf's vertex order, so a key is itself a labeled graph of its class,
+whose own key it is (checked to order 7).  The leaf's order also lets
+``find_isomorphism`` map one graph's vertices onto the other's.  The
 search is one recursive function that takes the best leaf so far and
 returns the new best, so no call leaves a cycle for the collector.
 Given a list, the same search also collects the automorphisms it meets

@@ -1,21 +1,21 @@
 """Run claim catalogs and property suites into canonical reports.
 
 Workers come from the THROTTLE_WORKERS environment variable unless an
-explicit count is given.  Records are sorted by case id after the pool
-returns, so reports are value-identical across worker counts.
+explicit count is given.  Records are sorted by id after the pool
+returns, so reports are value-identical across worker counts.  A worker
+that dies leaves a failing record for each item it left without one.
 """
 
 from __future__ import annotations
 
 import importlib.metadata
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .claims import claims_matching, evaluate_claim
-from .suites import build_cases, run_case
+from .claims import claims_matching, evaluate_claim, failed_claim
+from .suites import build_cases, failed_case, run_case
 
 SCHEMA_VERSION = 1
 
@@ -77,12 +77,26 @@ def resolve_workers(explicit: Optional[int] = None) -> int:
     return workers
 
 
-def _pool_map(func, items: list, workers: int) -> list:
+def _pool_map(func, items: list, workers: int, lost) -> list[dict]:
+    """The records ``func`` gives for ``items``, sorted by id, on a pool
+    when ``workers`` > 1.  Once a worker dies, ``lost(item, error)``
+    gives the record of each item left without one."""
     if workers <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    chunk = max(1, len(items) // (workers * 8))
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(func, items, chunksize=chunk)
+        out = [func(item) for item in items]
+    else:
+        # Imported here, since only a pool needs them: they slow every
+        # start.  Workers are spawned, so they inherit no thread or lock.
+        from concurrent.futures.process import (BrokenProcessPool,
+                                                ProcessPoolExecutor)
+        from multiprocessing import get_context
+        out = []
+        with ProcessPoolExecutor(workers, get_context("spawn")) as pool:
+            try:
+                out.extend(pool.map(func, items, chunksize=max(
+                    1, len(items) // (workers * 8))))
+            except BrokenProcessPool as exc:
+                out += [lost(item, exc) for item in items[len(out):]]
+    return sorted(out, key=lambda r: r["id"])
 
 
 def run_suite(name: str, nmax: Optional[int] = None,
@@ -95,10 +109,9 @@ def run_suite(name: str, nmax: Optional[int] = None,
     count = resolve_workers(workers)
     start = time.perf_counter()
     cases = build_cases(name, nmax=nmax, budget=budget, seed=seed)
-    records = _pool_map(run_case, cases, count)
-    elapsed = time.perf_counter() - start
-    records.sort(key=lambda r: r["id"])
-    return Report(suite=name, records=records, wall_time_seconds=elapsed,
+    records = _pool_map(run_case, cases, count, failed_case)
+    return Report(suite=name, records=records,
+                  wall_time_seconds=time.perf_counter() - start,
                   parameters={"nmax": nmax, "budget": budget, "seed": seed,
                               "workers": count})
 
@@ -115,9 +128,7 @@ def run_claims(filters: Optional[dict[str, str]] = None,
         raise ValueError(f"no claim is tagged with {wanted}")
     count = resolve_workers(workers)
     start = time.perf_counter()
-    records = _pool_map(evaluate_claim, selected, count)
-    elapsed = time.perf_counter() - start
-    records.sort(key=lambda r: r["id"])
+    records = _pool_map(evaluate_claim, selected, count, failed_claim)
     return Report(suite="paper-suite", records=records,
-                  wall_time_seconds=elapsed,
+                  wall_time_seconds=time.perf_counter() - start,
                   parameters={"filters": filters, "workers": count})

@@ -233,6 +233,29 @@ def test_compute_rejects_ignored_options(capsys, argv, message):
     assert out == ""
 
 
+def test_compute_empty_set_is_the_empty_start_set(capsys):
+    # '' names the empty set, as ' , ' does; under pd it stalls on P3.
+    for text in ("", " , "):
+        assert run(capsys, "compute", "--fixture", "P3", "--rule", "pd",
+                   "--kind", "sum", "--set", text) == (0, "infinity\n", "")
+    code, out, _ = run(capsys, "compute", "--fixture", "P3", "--rule", "pd",
+                       "--kind", "sum", "--trace", "--set", "")
+    assert (code, out) == (0, "initial: {}\ncompleted: False\ninfinity\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--parameter", "number"), "--set does not apply to --parameter number"),
+    (("--kind", "sum", "--per-k"), "--per-k requires --kind without --set"),
+    (("--parameter", "pt", "--k", "1"), "--k and --set cannot be combined"),
+])
+def test_compute_refuses_options_beside_an_empty_set(capsys, argv, message):
+    code, out, err = run(capsys, "compute", "--fixture", "P3", "--rule", "pd",
+                         *argv, "--set", "")
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("token", ["0_0", "+4", "\u0664"])
 def test_compute_set_takes_decimal_labels_only(capsys, token):
     code, out, err = run(capsys, "compute", "--fixture", "P5", "--rule", "zf",
@@ -380,6 +403,15 @@ def test_props_json_shape(capsys):
     report = data["reports"][0]
     assert report["suite"] == "universal-vertex"
     assert report["summary"]["failed"] == 0
+
+
+def test_props_help_describes_every_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["props", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name, spec in suites.SUITES.items():
+        assert f" {name} {spec.description}" in text
 
 
 def test_props_unknown_suite(capsys):

@@ -185,6 +185,23 @@ def test_automorphisms_generate_the_whole_group():
         assert group_order(g.n, automorphisms(g.n, g.adjacency)[1]) == expected
 
 
+def test_canonical_key_is_a_labeled_graph_of_its_class():
+    # A key's rows are the adjacency rows in canonical vertex order, so
+    # the key, read as a graph, keys to itself, and so does its reversed
+    # relabeling v -> n-1-v (rows reversed, bits reversed).
+    for g in SMALL:
+        k = key(g)
+        n = len(k)
+        assert n == g.n
+        for i, row in enumerate(k):
+            assert not row >> i & 1 and row >> n == 0
+            assert all(k[j] >> i & 1 for j in range(n) if row >> j & 1)
+        assert invariant_key(n, k) == k
+        rows = tuple(sum(1 << (n - 1 - w) for w in range(n) if row >> w & 1)
+                     for row in reversed(k))
+        assert invariant_key(n, rows) == k
+
+
 def _vertex_image(sigma, x):
     return sigma[x]
 

@@ -1,7 +1,9 @@
 """Property suite machinery: registry, determinism, and report shape."""
 
+import functools
 import hashlib
 import json
+import os
 import random
 import time
 import types
@@ -11,11 +13,13 @@ import pytest
 
 from throttlekit import report as report_module
 from throttlekit import suites
+from throttlekit.claims import evaluate_claim
 from throttlekit.families import (Fixture, _apply_op, cycle, enumerate_graphs,
                                   path, star)
 from throttlekit.forcing import INFINITY, Rule
 from throttlekit.graph import Graph, VertexMap
 from throttlekit.graphio import format_graph6, parse_graph6
+from throttlekit.iso import invariant_key
 from throttlekit.report import Report, resolve_workers, run_claims, run_suite
 from throttlekit.suites import SUITES, build_cases, run_case
 from throttlekit.throttling import ThrottleKind
@@ -97,10 +101,47 @@ def test_worker_count_does_not_change_results():
     serial = run_suite("pt-monotone", nmax=4, workers=1)
     parallel = run_suite("pt-monotone", nmax=4, workers=4)
     assert serial.records == parallel.records
-    # Each worker keeps its own value memo; only its hit rate differs.
+    # Each worker keeps its own value cache; only its hit rate differs.
     serial = run_suite("prop3.2", nmax=5, workers=1)
     parallel = run_suite("prop3.2", nmax=5, workers=2)
     assert serial.records == parallel.records
+
+
+_DOOMED = "psd-step-n3-g1"
+
+
+def _dies_on_one_case(case):
+    """A run_case stand-in whose worker process dies on one case."""
+    if case[0] == _DOOMED:
+        os._exit(1)
+    return run_case(case)
+
+
+def _dies_on_one_claim(claim):
+    if claim.id == "fig2-thx-pd":
+        os._exit(1)
+    return evaluate_claim(claim)
+
+
+def test_a_dying_worker_fails_its_items_instead_of_hanging(monkeypatch):
+    # The pool sends its function by name, so spawned workers run the
+    # stand-in too.
+    monkeypatch.setattr(report_module, "run_case", _dies_on_one_case)
+    start = time.perf_counter()
+    report = run_suite("psd-step", nmax=3, workers=2)
+    assert time.perf_counter() - start < 20
+    assert [r["id"] for r in report.records] == [
+        case[0] for case in sorted(build_cases("psd-step", nmax=3))]
+    doomed = next(r for r in report.records if r["id"] == _DOOMED)
+    assert doomed["passed"] is False and doomed["check"] == "psd-step"
+    assert doomed["computed"].startswith("error: BrokenProcessPool(")
+    for r in report.records:
+        assert r["passed"] or r["witness"] == doomed["witness"]
+    monkeypatch.setattr(report_module, "evaluate_claim", _dies_on_one_claim)
+    report = run_claims({"figure": "2"}, workers=2)
+    lost = next(r for r in report.records if r["id"] == "fig2-thx-pd")
+    assert lost["passed"] is False and lost["expected"] == 8
+    assert lost["computed"].startswith("error: BrokenProcessPool(")
 
 
 def _relabel(g: Graph, perm: list) -> Graph:
@@ -114,61 +155,112 @@ def _direct(rule, kind, g):
         return None
 
 
+def _key(g: Graph) -> tuple:
+    return invariant_key(g.n, g.adjacency)
+
+
+_CLASS_VALUE = suites._class_value.__wrapped__
+
+
+def _fresh_values(monkeypatch, maxsize: int = 1 << 16) -> None:
+    """An empty value cache for this test alone: values cached by earlier
+    tests are not read, and values faked here do not outlive it."""
+    monkeypatch.setattr(suites, "_class_value",
+                        functools.lru_cache(maxsize)(_CLASS_VALUE))
+
+
 def test_relabeled_graphs_hit_the_value_memo(monkeypatch):
-    monkeypatch.setattr(suites, "_memo", {})
+    _fresh_values(monkeypatch)
     real, solved = suites.throttling_number, []
-    real_key, keyed = suites.invariant_key, []
 
     def counted(rule, kind, g):
         solved.append(g)
         return real(rule, kind, g)
 
-    def counted_key(n, adj):
-        keyed.append(adj)
-        return real_key(n, adj)
-
     monkeypatch.setattr(suites, "throttling_number", counted)
-    monkeypatch.setattr(suites, "invariant_key", counted_key)
     g = Graph(6, [(0, 3), (0, 4), (0, 5), (1, 4), (2, 5), (3, 5)])
     # A trivial automorphism group: every relabeling is a new graph.
     assert len({_relabel(g, p) for p in permutations(range(6))}) == 720
     perm = list(range(6))
     random.Random(17).shuffle(perm)
     h = _relabel(g, perm)
-    assert h != g
+    assert h != g and _key(h) == _key(g)
     pairs = [(rule, kind) for rule in Rule for kind in ThrottleKind]
-    keys: dict = {}
-    values = [suites._th(keys, g, rule, kind) for rule, kind in pairs]
-    assert len(solved) == len(pairs) and len(keyed) == 1
-    keys = {}
-    assert [suites._th(keys, h, rule, kind) for rule, kind in pairs] == values
-    assert len(solved) == len(pairs) and len(keyed) == 2
+    values = [suites._class_value(_key(g), rule, kind) for rule, kind in pairs]
+    assert len(solved) == len(pairs)
+    # The class is solved on its key's graph relabeled v -> 5-v.
+    assert set(solved) == {Graph.from_adjacency(tuple(
+        sum(1 << 5 - w for w in range(6) if row >> w & 1)
+        for row in reversed(_key(g))))}
+    assert [suites._class_value(_key(h), rule, kind)
+            for rule, kind in pairs] == values
+    assert len(solved) == len(pairs)
     assert values == [real(rule, kind, h).value for rule, kind in pairs]
-    # Undefined values are memoized per class too.
+    # Undefined values are cached per class too.
     star = ThrottleKind.PRODUCT_NO_INITIAL_COST
     edgeless = Graph(4, [])
     for _ in range(2):
-        assert suites._th({}, edgeless, Rule.STANDARD, star) is None
+        assert suites._class_value(_key(edgeless), Rule.STANDARD, star) is None
     assert solved.count(edgeless) == 1
+
+
+def test_class_values_match_direct_computation(monkeypatch):
+    # The value of a class, read from its key, is the value on any member
+    # of it, or None on both where it is undefined.
+    _fresh_values(monkeypatch)
+    rnd = random.Random(25)
+    pairs = [(rule, kind) for rule in Rule for kind in ThrottleKind]
+    assert len(pairs) == 9
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            h = _relabel(g, perm)
+            for rule, kind in pairs:
+                value = suites._class_value(_key(g), rule, kind)
+                assert value == _direct(rule, kind, g) == _direct(
+                    rule, kind, h), (g, rule, kind)
+
+
+def test_equal_operated_graphs_are_keyed_once(monkeypatch):
+    # Distinct sites can build one labeled graph: contracting a pendant
+    # edge deletes its leaf when the leaf has the larger label.  Each
+    # distinct operated graph of a case is keyed once.
+    real_key, keyed = suites.invariant_key, []
+    monkeypatch.setattr(suites, "invariant_key",
+                        lambda n, adj: keyed.append(adj) or real_key(n, adj))
+    repeats = 0
+    for n in range(2, 6):
+        for g in enumerate_graphs(n):
+            keyed.clear()
+            key, ops = suites._orbit_operations(g)
+            built = [h for *_, h, _ in suites._operations(
+                g, gens=suites.automorphisms(g.n, g.adjacency)[1])]
+            assert key == _key(g)
+            assert sorted(keyed) == sorted({h.adjacency for h in built})
+            assert [hkey for *_, hkey in ops] == [_key(h) for h in built]
+            repeats += len(built) - len(keyed)
+    assert repeats > 0
 
 
 @pytest.mark.parametrize("name", ["prop3.2", "prop3.12"])
 def test_memo_state_does_not_change_records(monkeypatch, name):
     cases = build_cases(name, nmax=5)
-    monkeypatch.setattr(suites, "_memo", {})
+    _fresh_values(monkeypatch)
     cold = [run_case(case) for case in cases]
-    # Warm, every answer is checked against a direct computation.
-    real_th = suites._th
+    # Warm, every answer is checked against a direct computation on the
+    # key's own labeling, a member of the class other than the solved one.
+    cached = suites._class_value
 
-    def checked(keys, g, rule, kind):
-        value = real_th(keys, g, rule, kind)
-        assert value == _direct(rule, kind, g), (g, rule, kind)
+    def checked(key, rule, kind):
+        value = cached(key, rule, kind)
+        assert value == _direct(rule, kind, Graph.from_adjacency(key)), (
+            key, rule, kind)
         return value
 
-    monkeypatch.setattr(suites, "_th", checked)
+    monkeypatch.setattr(suites, "_class_value", checked)
     warm = [run_case(case) for case in cases]
-    monkeypatch.setattr(suites, "_th", real_th)
-    monkeypatch.setattr(suites, "_memo", {})
+    _fresh_values(monkeypatch)
     backward = [run_case(case) for case in reversed(cases)][::-1]
     assert cold == warm == backward
 
@@ -258,11 +350,12 @@ def test_orbit_mates_name_their_own_edges(monkeypatch):
     def outcomes():
         out = []
         for g in graphs:
-            monkeypatch.setattr(suites, "_memo", {})
+            # A class value is solved on a member of the class, not on g.
+            _fresh_values(monkeypatch)
             monkeypatch.setattr(
                 suites, "throttling_number", lambda rule, kind, h, g=g: (
                     types.SimpleNamespace(value=real(rule, kind, h).value
-                                          + 2 * (h == g))))
+                                          + 2 * (_key(h) == _key(g)))))
             out += [runner(g, {}) for runner in runners]
         return out
 
@@ -500,15 +593,15 @@ def test_failure_witnesses_are_pinned(monkeypatch):
     real = suites.throttling_number
 
     def bumped(rule, kind, g):
-        value = real(rule, kind, g).value + (2 if g == p3 else 0)
+        # The surgery suites solve a member of P3's class, not P3 itself.
+        value = real(rule, kind, g).value + (2 if _key(g) == _key(p3) else 0)
         return types.SimpleNamespace(value=value)
 
     monkeypatch.setattr(suites, "pt_table", lambda rule, adj, n: tuple(
         m % 5 + n % 2 for m in range(1 << n)))
     monkeypatch.setattr(suites, "throttling_number", bumped)
-    # A fresh value memo: values memoized by earlier tests would skip the
-    # bumped throttling, and the bumped ones must not outlive this test.
-    monkeypatch.setattr(suites, "_memo", {})
+    # Values cached by earlier tests would skip the bumped throttling.
+    _fresh_values(monkeypatch)
     for (name, item), expected in PINNED_WITNESSES.items():
         payload = {"graph6": "Bg", "rule": "pd" if item == 5 else "zf"}
         if item is not None:
@@ -614,23 +707,14 @@ def test_forced_failure_records_are_pinned(monkeypatch, name, g6, stand_ins,
 
 
 def test_value_memo_is_cleared_at_its_limit(monkeypatch):
-    # With room for 4 values, prop3.2 clears the memo over and over and
-    # must still write the records of an unbounded memo.
-    monkeypatch.setattr(suites, "_memo", {})
+    # With room for 4 values, prop3.2 evicts values over and over and
+    # must still write the records of a roomy cache.
+    _fresh_values(monkeypatch)
     reference = run_suite("prop3.2", nmax=5, workers=1).records
-
-    class Watched(dict):
-        largest = 0
-
-        def __setitem__(self, key, value):
-            super().__setitem__(key, value)
-            Watched.largest = max(Watched.largest, len(self))
-
-    memo = Watched()
-    monkeypatch.setattr(suites, "_MEMO_LIMIT", 4)
-    monkeypatch.setattr(suites, "_memo", memo)
+    _fresh_values(monkeypatch, maxsize=4)
     assert run_suite("prop3.2", nmax=5, workers=1).records == reference
-    assert Watched.largest == 4
+    info = suites._class_value.cache_info()
+    assert info.currsize == 4 and info.misses > 4 * info.maxsize
 
 
 def test_isolation_witness_is_pinned(monkeypatch):
