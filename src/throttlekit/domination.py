@@ -1,20 +1,29 @@
 """Minimum dominating sets and their refinements.
 
-A dominating set is a power domination start set that fills every
-vertex in its first, closed-neighborhood round, so domination is tested
-with the propagation engine's domination step.  Beyond the plain
-domination number this module ranks minimum dominating sets by the
-number of edges they induce and then by total degree, and it computes
-external private neighbors, the machinery behind the constructive
-throttling bounds.
+A dominating set is a start set whose members' closed neighborhoods
+cover every vertex, so minimum dominating sets are the least size at
+which ``forcing._covering_masks`` yields a mask on the closed
+neighborhoods.  That generator lists the covers of one size in colex
+order and drops a partial set only when no completion of it covers,
+either because the balls of its members and of every vertex below its
+lowest member miss a vertex, or because too many vertices are uncovered
+for its picks left; every dropped set is a non-cover, so the covers it
+yields, and their order, are those of the full colex walk.
+
+Beyond the plain domination number this module ranks minimum dominating
+sets by the number of edges they induce and then by total degree, with
+ties to the least mask, and it computes external private neighbors, the
+machinery behind the constructive throttling bounds.  Ranking reads one
+pass of (inner-edge count, degree sum, mask) triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from operator import itemgetter
+from typing import Iterator
 
-from .forcing import _domination_step, _size_masks
+from .forcing import _covering_masks, _domination_step
 from .graph import Graph, VertexSet, bits
 
 
@@ -32,51 +41,68 @@ def domination_number(g: Graph) -> tuple[int, VertexSet]:
     return len(witness), witness
 
 
-def minimum_dominating_sets(g: Graph) -> Iterator[VertexSet]:
-    """All minimum dominating sets, in colexicographic order."""
-    adj = g.adjacency
-    full = g.full_mask
+def _minimum_dominating_masks(g: Graph) -> Iterator[int]:
+    # The covers by closed neighborhoods of the least size that has any.
+    balls = tuple([row | 1 << v for v, row in enumerate(g.adjacency)])
     for k in range(g.n + 1):
         found = False
-        for mask in _size_masks(g.n, k):
-            if mask | _domination_step(adj, mask, full) == full:
-                found = True
-                yield VertexSet.from_mask(g.n, mask)
+        for mask in _covering_masks(balls, g.n, k):
+            found = True
+            yield mask
         if found:
             return
     raise AssertionError("the full vertex set always dominates")
 
 
-def _inner_edge_count(adj: tuple[int, ...], mask: int) -> int:
-    return sum((adj[v] & mask).bit_count() for v in bits(mask)) // 2
+def minimum_dominating_sets(g: Graph) -> Iterator[VertexSet]:
+    """All minimum dominating sets, in colexicographic order."""
+    for mask in _minimum_dominating_masks(g):
+        yield VertexSet.from_mask(g.n, mask)
 
 
-def _degree_sum(adj: tuple[int, ...], mask: int) -> int:
-    return sum(adj[v].bit_count() for v in bits(mask))
+def _rank(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
+    # (induced edge count, degree sum) of the set.
+    inner = degrees = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row = adj[low.bit_length() - 1]
+        inner += (row & mask).bit_count()
+        degrees += row.bit_count()
+    return inner // 2, degrees
 
 
-def _maxima(adj: tuple[int, ...], sets: Iterable[VertexSet],
-            measure: Callable[[tuple[int, ...], int], int]) -> list[VertexSet]:
-    # Every set of the largest measure, in the order given.
-    best = -1
-    out: list[VertexSet] = []
-    for d in sets:
-        value = measure(adj, d.mask)
-        if value > best:
-            best, out = value, [d]
-        elif value == best:
-            out.append(d)
-    return out
+def _ranked(g: Graph) -> list[tuple[int, int, int]]:
+    """(induced edge count, degree sum, mask) of every minimum dominating
+    set, in colex order."""
+    adj = g.adjacency
+    return [(*_rank(adj, mask), mask) for mask in _minimum_dominating_masks(g)]
 
 
 def edge_maximum_dominating_sets(g: Graph) -> list[VertexSet]:
     """Minimum dominating sets inducing the most edges, colex order."""
-    return _maxima(g.adjacency, minimum_dominating_sets(g), _inner_edge_count)
+    ranked = _ranked(g)
+    most = max(ranked)[0]
+    return [VertexSet.from_mask(g.n, mask)
+            for inner, _, mask in ranked if inner == most]
 
 
 def optimal_dominating_sets(g: Graph) -> list[VertexSet]:
     """Edge-maximum minimum dominating sets of largest total degree."""
-    return _maxima(g.adjacency, edge_maximum_dominating_sets(g), _degree_sum)
+    ranked = _ranked(g)
+    best = max(ranked)[:2]
+    return [VertexSet.from_mask(g.n, mask)
+            for inner, degrees, mask in ranked if (inner, degrees) == best]
+
+
+def _private(adj: tuple[int, ...], d: int, v: int) -> int:
+    # The vertices outside d whose only neighbor in d is v.
+    private = 0
+    for w in bits(adj[v] & ~d):
+        if adj[w] & d == 1 << v:
+            private |= 1 << w
+    return private
 
 
 def external_private_neighbors(g: Graph, d: VertexSet, v: int) -> VertexSet:
@@ -85,13 +111,7 @@ def external_private_neighbors(g: Graph, d: VertexSet, v: int) -> VertexSet:
         raise ValueError("vertex set order does not match the graph")
     if v not in d:
         raise ValueError(f"vertex {v} is not in the dominating set")
-    adj = g.adjacency
-    outside = g.full_mask & ~d.mask
-    private = 0
-    for w in bits(adj[v] & outside):
-        if adj[w] & d.mask == 1 << v:
-            private |= 1 << w
-    return VertexSet.from_mask(g.n, private)
+    return VertexSet.from_mask(g.n, _private(g.adjacency, d.mask, v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,14 +133,23 @@ class DominationCertificate:
         g = self.graph
         if not is_dominating_set(g, self.vertices):
             raise AssertionError("certificate set does not dominate")
-        gamma, _ = domination_number(g)
-        if len(self.vertices) != gamma:
-            raise AssertionError("certificate set is not minimum")
         adj = g.adjacency
-        if _inner_edge_count(adj, self.vertices.mask) != self.inner_edge_count:
+        mask = self.vertices.mask
+        inner, degrees = _rank(adj, mask)
+        if inner != self.inner_edge_count:
             raise AssertionError("recorded induced edge count is wrong")
-        if _degree_sum(adj, self.vertices.mask) != self.degree_sum:
+        if degrees != self.degree_sum:
             raise AssertionError("recorded degree sum is wrong")
+        # Every minimum dominating set ranks lower, or ties and comes
+        # later in colex order.
+        key = (inner, degrees, -mask)
+        for other in _minimum_dominating_masks(g):
+            if other.bit_count() != len(self.vertices):
+                raise AssertionError("certificate set is not minimum")
+            if (*_rank(adj, other), -other) > key:
+                raise AssertionError("a minimum dominating set ranks higher")
+        if set(self.private_neighbors) != set(self.vertices.members):
+            raise AssertionError("private neighbors are not keyed by the set")
         for v in self.vertices:
             expect = external_private_neighbors(g, self.vertices, v)
             if tuple(expect.members) != self.private_neighbors[v]:
@@ -140,16 +169,14 @@ class DominationCertificate:
 
 def optimal_dominating_set(g: Graph) -> DominationCertificate:
     """The deterministic optimal dominating set with its epn table."""
-    choice = optimal_dominating_sets(g)[0]
+    # max keeps the first of equal ranks, the least mask.
+    inner, degrees, choice = max(_ranked(g), key=itemgetter(0, 1))
     adj = g.adjacency
-    epn = {
-        v: tuple(external_private_neighbors(g, choice, v).members)
-        for v in choice
-    }
     return DominationCertificate(
         graph=g,
-        vertices=choice,
-        inner_edge_count=_inner_edge_count(adj, choice.mask),
-        degree_sum=_degree_sum(adj, choice.mask),
-        private_neighbors=epn,
+        vertices=VertexSet.from_mask(g.n, choice),
+        inner_edge_count=inner,
+        degree_sum=degrees,
+        private_neighbors={v: tuple(bits(_private(adj, choice, v)))
+                           for v in bits(choice)},
     )

@@ -62,6 +62,12 @@ more than the standard time of S | dom(S).  A graph and its operated
 graphs recur across the cases of one graph, so the last 256 tables are
 cached; they are tuples, which no caller can change.  The sized scan
 does not use them: a capped scan touches few of the 2**n sets.
+
+``_covering_masks`` lists the size-k sets whose members' balls cover
+every vertex, in colex order like ``_size_masks``, but skips every
+subtree of partial sets that no completion makes a cover.  On closed
+neighborhoods its covers are the dominating sets that ``domination.py``
+walks size by size.
 """
 
 from __future__ import annotations
@@ -119,6 +125,52 @@ def _size_masks(n: int, k: int) -> Iterator[int]:
         low = m & -m
         ripple = m + low
         m = (((ripple ^ m) >> 2) // low) | ripple
+
+
+def _covering_masks(balls: tuple[int, ...], n: int, k: int) -> Iterator[int]:
+    """The size-k masks below 2**n whose members' balls cover every
+    vertex, in increasing numeric (colex) order; ``balls[v]`` holds v.
+
+    The top member is picked first, ascending, and the rest recursively
+    below it, which lists the sets in colex order.  A partial set is
+    dropped when its balls, with those of every vertex below its lowest
+    member, miss a vertex, or when more vertices are uncovered than its
+    picks left times the largest ball: neither can be completed."""
+    if k == 0:
+        if n == 0:
+            yield 0
+        return
+    if k > n:
+        return
+    widest = max(map(int.bit_count, balls))
+    if n > k * widest:
+        # The counting prune at the root, before any table is built.
+        return
+    full = (1 << n) - 1
+    # below[v]: the union of the balls of the vertices under v.
+    below = [0]
+    for ball in balls:
+        below.append(below[-1] | ball)
+
+    def extend(chosen: int, covered: int, limit: int, j: int) -> Iterator[int]:
+        # The covers that add j members below limit to chosen; on entry
+        # covered | below[limit] is full.
+        if (full ^ covered).bit_count() > j * widest:
+            return
+        # The union test is monotone in the top pick: start at the first
+        # one that passes it.
+        v = j - 1
+        while covered | below[v + 1] != full:
+            v += 1
+        if j == 1:
+            for v in range(v, limit):
+                if covered | balls[v] == full:
+                    yield chosen | 1 << v
+            return
+        for v in range(v, limit):
+            yield from extend(chosen | 1 << v, covered | balls[v], v, j - 1)
+
+    yield from extend(0, 0, n, k)
 
 
 def _standard_step(adj: tuple[int, ...], filled: int, full: int) -> int:

@@ -45,6 +45,16 @@ def test_compute_gamma_on_spider(capsys):
     assert out.strip() == "3"
 
 
+# gamma(P_n) = gamma(C_n) = ceil(n / 3): k closed neighborhoods hold at
+# most 3k vertices, so every smaller size is refused by counting.
+@pytest.mark.parametrize("fixture, gamma", [("path:60", "20"),
+                                            ("cycle:40", "14")])
+def test_compute_gamma_on_long_paths_and_cycles(capsys, fixture, gamma):
+    code, out, err = run(capsys, "compute", "--parameter", "gamma",
+                         "--fixture", fixture)
+    assert (code, out, err) == (0, gamma + "\n", "")
+
+
 def test_compute_k1_is_the_standard_one_step_number(capsys):
     # k1 is taken under the standard rule alone, so --rule zf may name it.
     code, out, _ = run(capsys, "compute", "--fixture", "spider:1,1,1,1",

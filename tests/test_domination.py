@@ -45,7 +45,7 @@ def test_domination_number_known_values():
 
 
 def test_domination_number_matches_oracle_exhaustively():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for g in enumerate_graphs(n):
             k, wit = domination_number(g)
             assert k == oracles.naive_gamma(g)
@@ -58,7 +58,7 @@ def test_domination_number_matches_oracle_exhaustively():
 
 
 def test_minimum_dominating_sets_are_complete():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for g in enumerate_graphs(n):
             masks = [d.mask for d in minimum_dominating_sets(g)]
             assert all(a < b for a, b in zip(masks, masks[1:]))
@@ -67,7 +67,7 @@ def test_minimum_dominating_sets_are_complete():
 
 
 def test_ranked_dominating_sets_match_oracle_exhaustively():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for g in enumerate_graphs(n):
             edge_max, optimal = oracles.naive_optimal_dominating_sets(g)
             assert [d.mask for d in edge_maximum_dominating_sets(g)] == \
@@ -126,6 +126,39 @@ def test_certificate_validates():
         d = cert.to_dict()
         assert d["order"] == g.n
         assert len(d["vertices"]) == domination_number(g)[0]
+
+
+def test_validate_catches_a_lower_ranked_or_later_set():
+    g = path(4)
+    cert = optimal_dominating_set(g)
+    assert cert.vertices.members == (1, 2)
+    # {0, 2} and {1, 3} dominate P4 with no inner edge and degree sum 3;
+    # {1, 2} spans an edge.  C4's four adjacent pairs tie on (1, 4), so
+    # the colex-first one, {0, 1}, is the certificate there.
+    c4 = cycle(4)
+    forgeries = [(g, [0, 2], 0, 3), (g, [1, 3], 0, 3), (c4, [1, 2], 1, 4)]
+    for h, members, inner, degrees in forgeries:
+        d = h.vertex_set(members)
+        forged = DominationCertificate(
+            graph=h, vertices=d, inner_edge_count=inner, degree_sum=degrees,
+            private_neighbors={v: external_private_neighbors(h, d, v).members
+                               for v in d})
+        with pytest.raises(AssertionError, match="ranks higher"):
+            forged.validate()
+    optimal_dominating_set(c4).validate()
+    assert optimal_dominating_set(c4).vertices.members == (0, 1)
+
+
+def test_validate_catches_private_neighbors_off_the_set():
+    cert = optimal_dominating_set(path(4))
+    table = cert.private_neighbors
+    for private in [{**table, 0: ()}, {1: table[1]}]:
+        forged = DominationCertificate(
+            graph=cert.graph, vertices=cert.vertices,
+            inner_edge_count=cert.inner_edge_count,
+            degree_sum=cert.degree_sum, private_neighbors=private)
+        with pytest.raises(AssertionError, match="not keyed by the set"):
+            forged.validate()
 
 
 def test_certificate_private_neighbors_cover_the_set():

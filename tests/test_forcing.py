@@ -26,6 +26,7 @@ from throttlekit.forcing import (
     _block_psd_step,
     _block_pt,
     _blocks,
+    _covering_masks,
     _domination_step,
     _least_pt,
     _planes,
@@ -179,6 +180,30 @@ def per_mask_scan(rule, adj, n, k, slope, offset, incumbent=None):
 def random_graph(n, p, rng):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                      if rng.random() < p])
+
+
+def assert_covers_by_closed_neighborhoods(g):
+    # The pruned walk lists exactly the dominating masks of every size,
+    # in the order the unpruned walk meets them.
+    adj, full = g.adjacency, g.full_mask
+    balls = tuple(row | 1 << v for v, row in enumerate(adj))
+    for k in range(g.n + 2):
+        want = [m for m in _size_masks(g.n, k)
+                if m | _domination_step(adj, m, full) == full]
+        assert list(_covering_masks(balls, g.n, k)) == want, (g, k)
+
+
+def test_covering_masks_match_the_size_masks_exhaustively():
+    assert_covers_by_closed_neighborhoods(Graph(0))
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            assert_covers_by_closed_neighborhoods(g)
+
+
+@settings(deadline=None)
+@given(graphs(min_n=9, max_n=12))
+def test_covering_masks_match_the_size_masks_on_larger_graphs(g):
+    assert_covers_by_closed_neighborhoods(g)
 
 
 def test_blocks_list_the_size_masks_in_order():

@@ -396,8 +396,9 @@ def test_orbit_pruning_builds_one_surgery_per_orbit(monkeypatch):
 
 
 # sha256 of each suite's records, as JSON with sorted keys, at the given
-# nmax, from the code that built and keyed every surgery and lifted
-# every start set one at a time.
+# nmax.  The surgery suites' digests come from the code that built and
+# keyed every surgery and lifted every start set one at a time, the
+# domination suites' from the code that tested every mask of each size.
 RECORD_DIGESTS = {
     ("prop3.2", 6):
         "84a1b337e400beb1cdb67b82b25c7c1611256484e3c20f50e8796b5234c44518",
@@ -405,6 +406,16 @@ RECORD_DIGESTS = {
         "9a71d0b0a59eb7748a3cbb785d6341acfdb00375b67b0bca3faea377b8f5b663",
     ("lemma3.1", 5):
         "27a96743d68f1708f2f7bf755374cb4c24b6f2e240eec8dd9fc06a72d5a5b3c7",
+    ("ore", 7):
+        "f79986319482722d1760f2e81b2c54c550c681f9112ac569ff60926a40e00974",
+    ("lemma2.2", 7):
+        "5ceb8cc54a4f2c7dd63f49b9cc0e7aa7fec58f7da2a6f53872f66ce833b99421",
+    ("lemma2.3", 7):
+        "994b04f2e48b286105819261e3af1097d808dbbc616b7635634e7169e37360d2",
+    ("thm2.4", 7):
+        "ce3618d7a0a5e2a65e6b5a8d503bc2532771400cc85cae6b1ce91ed3d6bcd442",
+    ("thm2.7", 7):
+        "3a2c7f2c2d567cd664e3a3dade5ed8e06b95686079fcfba7f239d674edf8d202",
 }
 
 
