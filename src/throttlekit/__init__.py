@@ -88,9 +88,16 @@ from .constructive import (
 )
 from .claims import CLAIMS, Claim, claims_matching, evaluate_claim
 from .suites import SUITES, build_cases, run_case
-from .report import Report, TOOL_VERSION, run_claims, run_suite
+from .report import Report, run_claims, run_suite, tool_version
 
-__version__ = TOOL_VERSION
+
+def __getattr__(name: str) -> str:
+    # The version is read from the installed metadata on first use only
+    # (see report.tool_version).
+    if name in ("TOOL_VERSION", "__version__"):
+        return tool_version()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Graph", "InvalidVertexError", "MissingEdgeError", "VertexMap",

@@ -42,7 +42,7 @@ from .throttling import (
     throttling_number,
     throttling_of_set,
 )
-from .report import SCHEMA_VERSION, TOOL_VERSION, Report, run_claims, run_suite
+from .report import SCHEMA_VERSION, Report, run_claims, run_suite, tool_version
 from .suites import SUITES
 
 
@@ -53,7 +53,7 @@ def _fmt_time(value) -> str:
 
 def _print_json(command: str, **body) -> None:
     print(json.dumps({"schema_version": SCHEMA_VERSION,
-                      "tool_version": TOOL_VERSION, "command": command,
+                      "tool_version": tool_version(), "command": command,
                       **body}, indent=2))
 
 

@@ -20,6 +20,19 @@ which each hit lowers, and stop at the least cost possible at that size.
 Witnesses are deterministic: a hit must strictly improve, so ties go to
 the least size, then to the colexicographically first set.
 
+Under a sloped line the scan's answer depends on the line only through
+its cap: the colex-first set of least time at that size when that time
+is within the cap, and None otherwise.  So ``_cheapest`` keeps one fact
+per size for the last ``MEMO_GRAPHS`` graphs under each rule
+(``_least_times``): the least time and its set once a scan has hit, or
+a bound c once a scan capped at c has missed (INFINITY when an uncapped
+scan finds no completing set).  A later sloped scan answers from the
+least time, returns None when its cap is within the bound, and else
+scans as before and records what it learns; it never widens a cap.
+Every throttling kind, ``k_propagation_time`` and the one-step forcing
+number share the facts.  Flat lines (``forcing_number``) neither read
+nor write them: their first completing set need not be a fastest one.
+
 All three rules scan bit-sliced (Biham, "A fast new DES implementation
 in software", FSE 1997).  The scan cuts the size-k sets into blocks of
 at most ``BLOCK_SETS``: a fixed mask of high vertices plus every
@@ -88,6 +101,12 @@ BLOCK_SETS = 4096
 # A PSD or power domination scan of fewer size-k sets than this runs set
 # by set through _pt: a block of a few sets costs more than walking them.
 BLOCK_MIN_SETS = 80
+# Graphs whose least-time facts _cheapest keeps (see _least_times).  On
+# prop3.2 to order 7, which solves each operated graph for prodstar and
+# then prodx, 11,232 of 22,476 walks find their graph's facts at 16
+# graphs and no more at 1,024; 64 also holds the up to 61 distinct
+# graphs of one case at order 8.
+MEMO_GRAPHS = 64
 
 Time = Union[int, float]
 
@@ -614,15 +633,45 @@ def _sized_scan(rule: Rule, adj: tuple[int, ...], n: int, k: int,
     return best
 
 
+@lru_cache(maxsize=MEMO_GRAPHS)
+def _least_times(rule: Rule,
+                 adj: tuple[int, ...]) -> dict[int, tuple[Time, Optional[int]]]:
+    """The settled facts of the sloped scans of one graph, by size k:
+    (t, mask) for its least time and colex-first set of that time, or
+    (c, None) when no size-k set finishes within c steps.  ``_cheapest``
+    fills it."""
+    return {}
+
+
 def _cheapest(rule: Rule, adj: tuple[int, ...], n: int, sizes: Iterable[int],
               line: Callable[[int], tuple[int, int]],
               incumbent: Optional[int] = None) -> Optional[tuple[int, ...]]:
     """Least cost ``slope * pt + offset``, with (slope, offset) =
     ``line(k)`` at size k, over the sets of the given sizes that strictly
-    beat ``incumbent``: (cost, pt, colex-first mask, least size) or None."""
-    best = None
+    beat ``incumbent``: (cost, pt, colex-first mask, least size) or None.
+
+    A sloped size reads and feeds the graph's ``_least_times`` and scans
+    only when they cannot answer; a flat one always scans."""
+    best = facts = None
     for k in sizes:
-        hit = _sized_scan(rule, adj, n, k, *line(k), incumbent)
+        slope, offset = line(k)
+        if not slope:
+            hit = _sized_scan(rule, adj, n, k, slope, offset, incumbent)
+        else:
+            if facts is None:
+                facts = _least_times(rule, adj)
+            # The most steps whose cost strictly beats the incumbent.
+            cap = INFINITY if incumbent is None else \
+                (incumbent - offset - 1) // slope
+            # No fact yet is the bound -1, true at every size.
+            t, mask = facts.get(k, (-1, None))
+            if mask is not None:
+                hit = (slope * t + offset, t, mask) if t <= cap else None
+            elif cap <= t:
+                hit = None
+            else:
+                hit = _sized_scan(rule, adj, n, k, slope, offset, incumbent)
+                facts[k] = (cap, None) if hit is None else hit[1:]
         if hit is not None:
             best = (*hit, k)
             incumbent = hit[0]

@@ -8,10 +8,10 @@ that dies leaves a failing record for each item it left without one.
 
 from __future__ import annotations
 
-import importlib.metadata
 import os
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .claims import claims_matching, evaluate_claim, failed_claim
@@ -19,10 +19,25 @@ from .suites import build_cases, failed_case, run_case
 
 SCHEMA_VERSION = 1
 
-try:
-    TOOL_VERSION = importlib.metadata.version("throttlekit")
-except importlib.metadata.PackageNotFoundError:  # running from a checkout
-    TOOL_VERSION = "0+unknown"
+
+@lru_cache(maxsize=None)
+def tool_version() -> str:
+    """The installed package's version, "0+unknown" in a checkout.
+
+    Resolved on first use: importing importlib.metadata pulls in email,
+    socket and more, which would slow every start."""
+    import importlib.metadata
+    try:
+        return importlib.metadata.version("throttlekit")
+    except importlib.metadata.PackageNotFoundError:
+        return "0+unknown"
+
+
+def __getattr__(name: str) -> str:
+    # TOOL_VERSION stays a module attribute, resolved when first read.
+    if name == "TOOL_VERSION":
+        return tool_version()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -47,7 +62,7 @@ class Report:
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "tool_version": TOOL_VERSION,
+            "tool_version": tool_version(),
             "suite": self.suite,
             "parameters": dict(self.parameters),
             "summary": {

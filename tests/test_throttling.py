@@ -1,7 +1,9 @@
 """Throttling optima against a plain-set oracle, plus witness contracts."""
 
 import json
-from itertools import combinations
+import random
+from functools import partial
+from itertools import accumulate, combinations
 from math import ceil, inf
 from pathlib import Path
 
@@ -22,12 +24,14 @@ from throttlekit.families import (
 from throttlekit.forcing import (
     INFINITY,
     Rule,
+    forcing_number,
     k_propagation_time,
     propagation_time,
 )
 from throttlekit.graph import Graph
 from throttlekit.throttling import (
     ThrottleKind,
+    ThrottlingResult,
     is_matched_sum,
     least_size_with_propagation_time,
     one_step_forcing_number,
@@ -309,12 +313,16 @@ def test_long_cycles_and_paths_finish_in_few_propagations(monkeypatch):
 
     monkeypatch.setattr(forcing, "_pt", counted)
     monkeypatch.setattr(forcing, "_block_pt", counted_block)
+    # Each counted call starts from a cleared least-time memo, so it
+    # counts the scans themselves.
+    forcing._least_times.cache_clear()
     res = throttling_number(Rule.STANDARD, ThrottleKind.PRODUCT_INITIAL_COST,
                             cycle(40))
     assert (res.value, res.size, res.witness.members) == (40, 2, (0, 1))
     assert calls <= 1000
     assert blocks <= 4
     calls = blocks = 0
+    forcing._least_times.cache_clear()
     res = throttling_number(Rule.STANDARD, ThrottleKind.PRODUCT_INITIAL_COST,
                             path(60))
     assert (res.value, res.size) == (60, 1)
@@ -323,9 +331,100 @@ def test_long_cycles_and_paths_finish_in_few_propagations(monkeypatch):
     # Size 4 on C40 spans 67 blocks; the floor, 9 steps, is first met by
     # two antipodal edges in the fourth.
     blocks = 0
+    forcing._least_times.cache_clear()
     t, wit = k_propagation_time(Rule.STANDARD, cycle(40), 4)
     assert (t, wit.members) == (9, (0, 1, 20, 21))
     assert blocks == 4
+
+
+def _memo_calls(g):
+    """Every optimizer call on g, each size of the sized ones."""
+    n = g.n
+    calls = []
+    for rule in RULES:
+        for kind in KINDS:
+            star = kind is ThrottleKind.PRODUCT_NO_INITIAL_COST
+            if g.edge_count or not star:
+                calls.append(partial(throttling_number, rule, kind, g))
+            calls += [partial(throttling_at_size, rule, kind, g, k)
+                      for k in (range(1, n) if star else range(n + 1))]
+        calls += [partial(k_propagation_time, rule, g, k)
+                  for k in range(n + 1)]
+        calls.append(partial(forcing_number, rule, g))
+    if g.edge_count:
+        calls.append(partial(one_step_forcing_number, g))
+    return calls
+
+
+def _answer(call):
+    got = call()
+    return got.to_dict() if isinstance(got, ThrottlingResult) else got
+
+
+def test_memo_answers_as_a_cleared_memo_does():
+    # Every optimizer call on every graph to order 6 under every rule, in
+    # seeded shuffled orders with the least-time memo kept warm, against
+    # the same call made on a cleared memo.  The first order shuffles
+    # each graph's calls; the others shuffle all of them, so graphs also
+    # leave the memo and come back.
+    per_graph = [_memo_calls(g) for g in all_graphs_up_to(6)]
+    calls = [call for group in per_graph for call in group]
+    cold = []
+    for call in calls:
+        forcing._least_times.cache_clear()
+        cold.append(_answer(call))
+    rng = random.Random(27)
+    starts = list(accumulate(map(len, per_graph), initial=0))
+    ranges = [range(a, b) for a, b in zip(starts, starts[1:])]
+    orders = [[i for r in ranges for i in rng.sample(r, len(r))]]
+    orders += [rng.sample(range(len(calls)), len(calls)) for _ in range(2)]
+    for order in orders:
+        forcing._least_times.cache_clear()
+        for i in order:
+            assert _answer(calls[i]) == cold[i], calls[i]
+    assert len(calls) > 15_000
+
+
+def test_memo_serves_later_kinds_and_stays_bounded(monkeypatch):
+    scans = 0
+    scan = forcing._sized_scan
+
+    def counted(*args):
+        nonlocal scans
+        scans += 1
+        return scan(*args)
+
+    monkeypatch.setattr(forcing, "_sized_scan", counted)
+    # prodx after sum on the same graph scans less than on a cleared
+    # memo, and gives the same result.
+    g = cycle(12)
+    for rule in RULES:
+        forcing._least_times.cache_clear()
+        cold = throttling_number(rule, ThrottleKind.PRODUCT_INITIAL_COST, g)
+        cold_scans, scans = scans, 0
+        forcing._least_times.cache_clear()
+        throttling_number(rule, ThrottleKind.SUM, g)
+        scans = 0
+        warm = throttling_number(rule, ThrottleKind.PRODUCT_INITIAL_COST, g)
+        assert warm.to_dict() == cold.to_dict(), rule
+        assert scans < cold_scans, rule
+    # Flat cost lines neither read nor write it: forcing numbers, and
+    # prodx at size 0.
+    forcing._least_times.cache_clear()
+    for g in all_graphs_up_to(4):
+        for rule in RULES:
+            forcing_number(rule, g)
+            throttling_at_size(rule, ThrottleKind.PRODUCT_INITIAL_COST, g, 0)
+    assert forcing._least_times.cache_info().currsize == 0
+    # It never holds more than its maxsize graphs.
+    maxsize = forcing._least_times.cache_info().maxsize
+    assert maxsize == forcing.MEMO_GRAPHS
+    graphs = all_graphs_up_to(6)
+    assert len(graphs) > maxsize
+    for g in graphs:
+        throttling_number(Rule.STANDARD, ThrottleKind.SUM, g)
+        assert forcing._least_times.cache_info().currsize <= maxsize
+    assert forcing._least_times.cache_info().currsize == maxsize
 
 
 def test_throttling_matches_pool_oracle_at_orders_15_to_18():
