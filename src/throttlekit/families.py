@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .graph import Graph, VertexMap, unions
+from .graph import Graph, VertexMap, bits, unions
 from .graphio import read_edge_list
 from .iso import automorphisms, invariant_key, orbit_firsts
 
@@ -476,6 +476,56 @@ def parse_graph_expression(expr: str) -> Fixture:
 # enumeration
 
 
+def _signature(adj: Sequence[int], width: int) -> int:
+    """The degree histogram and the triangle count of a graph in one
+    int: 1 << width * d for each vertex of degree d, plus the triangle
+    count shifted above the field of every degree."""
+    triangles = sum((adj[u] & a).bit_count() for a in adj for u in bits(a))
+    return (sum(1 << width * a.bit_count() for a in adj)
+            + (triangles // 6 << width * len(adj)))
+
+
+def _deletion_signatures(base: tuple[int, ...], width: int,
+                         w: int) -> list[int]:
+    """For every mask m, the signature of G - w, where G is ``base``
+    joined to a new vertex by m, built by adding the members of m one
+    at a time to base - w."""
+    rows = [0 if v == w else a & ~(1 << w) for v, a in enumerate(base)]
+    shift = width * len(base)
+    step = (1 << width) - 1
+    # w's row, now empty, stood for a vertex of degree 0; the new
+    # vertex's own entry is added last.
+    sigs = [_signature(rows, width) - 1]
+    new = [1]
+    for v, row in enumerate(rows):
+        if v == w:
+            sigs += sigs
+            new += new
+            continue
+        # v joins m: one degree higher, and one triangle more with each
+        # neighbour of v already in m.
+        part = step << width * row.bit_count()
+        sigs += [s + part + ((row & m).bit_count() << shift)
+                 for m, s in enumerate(sigs)]
+        new += [x << width for x in new]
+    return [s + x for s, x in zip(sigs, new)]
+
+
+def _signature_skips(parents: tuple[Graph, ...], n: int) -> Iterator[list[bool]]:
+    """For each parent i of order n - 1, in order, a flag per mask m:
+    whether, for some old vertex w, no parent of index i or later has
+    the signature of G - w, where G is parent i joined to vertex n - 1
+    by m.  Width n.bit_length() holds every count up to n."""
+    width = n.bit_length()
+    last = {_signature(p.adjacency, width): i for i, p in enumerate(parents)}
+    for i, parent in enumerate(parents):
+        skip = [False] * (1 << (n - 1))
+        for w in range(n - 1):
+            skip = [s or last[h] < i for s, h in
+                    zip(skip, _deletion_signatures(parent.adjacency, width, w))]
+        yield skip
+
+
 @lru_cache(maxsize=None)
 def _iso_classes(n: int) -> tuple[Graph, ...]:
     """All graphs on n vertices up to isomorphism, by vertex extension.
@@ -483,23 +533,34 @@ def _iso_classes(n: int) -> tuple[Graph, ...]:
     The candidates are each representative of order n - 1, in order,
     joined to a new vertex n - 1 by every neighbour mask in ascending
     order; the first candidate of each isomorphism class is kept, so
-    the representatives, their labels and their order are fixed.
+    the representatives, their labels and their order are fixed.  Two
+    rules drop candidates that cannot be first of their class before
+    they are keyed, so the first of each class is always keyed and a
+    later one always finds its key seen.
 
     A mask m that a generator sigma of the parent's automorphisms maps
-    lower is not an ``iso.orbit_firsts`` representative and is never
-    keyed: the candidate for sigma(m) is isomorphic to m's and comes
-    earlier, so m cannot be the first of its class.
+    lower is not an ``iso.orbit_firsts`` representative: the candidate
+    for sigma(m) is isomorphic to m's and comes earlier.
+
+    A candidate G from parent i is skipped when, for some old vertex w,
+    no parent of index i or later has the degree histogram and triangle
+    count of G - w (``_signature_skips``; McKay, "Isomorph-free
+    exhaustive generation", 1998, rejects candidates by such a vertex
+    invariant).  G - w is isomorphic to exactly one parent, which has
+    the same signature and so must come before i, and adding w back to
+    that parent gives a candidate isomorphic to G.
     """
     if n == 1:
         return (Graph(1),)
+    parents = _iso_classes(n - 1)
     out: list[Graph] = []
     seen: set[tuple[int, ...]] = set()
-    for parent in _iso_classes(n - 1):
+    for parent, skip in zip(parents, _signature_skips(parents, n)):
         base = parent.adjacency
         images = [unions([1 << w for w in sigma])
                   for sigma in automorphisms(n - 1, base)[1]]
         for mask, rep in orbit_firsts(range(1 << (n - 1)), images).items():
-            if rep != mask:
+            if rep != mask or skip[mask]:
                 continue
             adj = tuple(
                 base[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)

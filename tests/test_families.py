@@ -319,9 +319,30 @@ def test_orbit_pruned_enumeration_matches_unpruned_loop():
 
 
 def test_enumeration_skips_masks_a_parent_automorphism_maps_lower(monkeypatch):
+    # Counted through the name families.orbit_firsts: the masks that are
+    # their own orbit's representative.  The unpruned loop has 2^(n-1)
+    # candidates per parent: 2, 8, 32, 176, 1,088, 9,984 and 133,632
+    # (144,922).
+    firsts = Counter()
+    real_firsts = families.orbit_firsts
+
+    def counted_firsts(items, gens):
+        reps = real_firsts(items, gens)
+        firsts[len(reps).bit_length()] += sum(m == r for m, r in reps.items())
+        return reps
+
+    monkeypatch.setattr(families, "orbit_firsts", counted_firsts)
+    _iso_classes.cache_clear()
+    for n in range(1, 9):
+        _iso_classes(n)
+    assert firsts == {2: 2, 3: 6, 4: 20, 5: 90, 6: 544, 7: 5096, 8: 79264}
+    assert sum(firsts.values()) == 85_022
+
+
+def test_enumeration_keys_only_candidates_first_of_their_class(monkeypatch):
     # Counted through the name families.invariant_key, the one the
-    # traced benchmark wraps.  The unpruned loop keys 2^(n-1) candidates
-    # per parent: 2, 8, 32, 176, 1,088, 9,984 and 133,632 (144,922).
+    # traced benchmark wraps: the orbit firsts above that the signature
+    # test leaves to key, one per class to order 6.
     keyed = Counter()
     real_key = families.invariant_key
 
@@ -333,8 +354,51 @@ def test_enumeration_skips_masks_a_parent_automorphism_maps_lower(monkeypatch):
     _iso_classes.cache_clear()
     for n in range(1, 9):
         _iso_classes(n)
-    assert keyed == {2: 2, 3: 6, 4: 20, 5: 90, 6: 544, 7: 5096, 8: 79264}
-    assert sum(keyed.values()) == 85_022
+    assert keyed == {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1212, 8: 20856}
+
+
+def test_signature_packs_degree_histogram_and_triangles():
+    # K4: four vertices of degree 3 and four triangles; C5: five of
+    # degree 2 and none; a triangle with a pendant vertex: one triangle.
+    assert families._signature(complete(4).adjacency, 3) == (4 << 9) + (4 << 12)
+    assert families._signature(cycle(5).adjacency, 3) == 5 << 6
+    paw = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    assert families._signature(paw.adjacency, 3) == (
+        (1 << 3) + (2 << 6) + (1 << 9) + (1 << 12))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_signature_skips_only_candidates_of_an_earlier_parent(n):
+    # Every G - w signature is the one its graph has and belongs to some
+    # parent, and every skipped candidate, orbit first or not, has the
+    # key of a representative kept from an earlier parent.
+    parents = _iso_classes(n - 1)
+    width = n.bit_length()
+    signatures = {families._signature(p.adjacency, width) for p in parents}
+    index = {p.adjacency: i for i, p in enumerate(parents)}
+    kept_from = {
+        invariant_key(n, g.adjacency):
+            index[tuple(r & ~(1 << (n - 1)) for r in g.adjacency[:-1])]
+        for g in _iso_classes(n)
+    }
+    skipped = 0
+    for i, (parent, skip) in enumerate(
+            zip(parents, families._signature_skips(parents, n))):
+        base = parent.adjacency
+        deleted = [families._deletion_signatures(base, width, w)
+                   for w in range(n - 1)]
+        for mask in range(1 << (n - 1)):
+            g = Graph.from_adjacency(tuple(
+                base[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)
+            ) + (mask,))
+            for w, sigs in enumerate(deleted):
+                sub = g.delete_vertex(w)[0].adjacency
+                assert sigs[mask] == families._signature(sub, width)
+                assert sigs[mask] in signatures
+            if skip[mask]:
+                skipped += 1
+                assert kept_from[invariant_key(n, g.adjacency)] < i
+    assert skipped > 0 or n == 2
 
 
 def test_iso_classes_are_pairwise_non_isomorphic():
